@@ -36,6 +36,10 @@ examples:
 # evaluation fault and prove the checkpoint resumes to completion,
 # and crash the job daemon mid-queue at an injected job fault and
 # prove recovery leaves every job in exactly one outcome directory.
+# A clean and a resumed run's result files may differ only in wall
+# time and evaluation statistics; the drills diff them with both cut.
+STRIP_RESULT = sed -e 's/, "eval_stats": .*/}/' -e 's/"wall_seconds": [^,]*, //'
+
 faultcheck: build
 	dune exec -- test/test_main.exe test fault
 	@set -e; for seed in 1 2 3; do \
@@ -67,12 +71,12 @@ faultcheck: build
 	  dune exec -- bin/dse_run.exe --engine $$engine --seed 7 \
 	    --iters $$iters --warmup 200 --resume $$ck --result $$resumed \
 	    >/dev/null; \
-	  sed -e 's/, "eval_stats": .*/}/' -e 's/"wall_seconds": [^,]*, //' $$clean > $$clean.cmp; \
-	  sed -e 's/, "eval_stats": .*/}/' -e 's/"wall_seconds": [^,]*, //' $$resumed > $$resumed.cmp; \
+	  $(STRIP_RESULT) $$clean > $$clean.cmp; \
+	  $(STRIP_RESULT) $$resumed > $$resumed.cmp; \
 	  if ! diff $$clean.cmp $$resumed.cmp >/dev/null; then \
 	    echo "faultcheck: $$engine: resumed result differs from clean run"; \
-	    sed -e 's/, "eval_stats": .*/}/' -e 's/"wall_seconds": [^,]*, //' $$clean; \
-	    sed -e 's/, "eval_stats": .*/}/' -e 's/"wall_seconds": [^,]*, //' $$resumed; \
+	    $(STRIP_RESULT) $$clean; \
+	    $(STRIP_RESULT) $$resumed; \
 	    exit 1; \
 	  fi; \
 	  rm -f $$ck $$clean $$clean.cmp $$resumed $$resumed.cmp; \
@@ -92,8 +96,8 @@ faultcheck: build
 	    echo "faultcheck: portfolio: interrupt flushed no checkpoint"; exit 1; fi; \
 	  dune exec -- bin/dse_run.exe --engine portfolio:race:sa+hill --seed 7 \
 	    --iters 200000 --resume $$ck --result $$resumed >/dev/null; \
-	  sed -e 's/, "eval_stats": .*/}/' -e 's/"wall_seconds": [^,]*, //' $$clean > $$clean.cmp; \
-	  sed -e 's/, "eval_stats": .*/}/' -e 's/"wall_seconds": [^,]*, //' $$resumed > $$resumed.cmp; \
+	  $(STRIP_RESULT) $$clean > $$clean.cmp; \
+	  $(STRIP_RESULT) $$resumed > $$resumed.cmp; \
 	  if ! diff $$clean.cmp $$resumed.cmp >/dev/null; then \
 	    echo "faultcheck: portfolio: resumed race differs from clean run"; \
 	    cat $$clean.cmp $$resumed.cmp; exit 1; \

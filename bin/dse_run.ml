@@ -13,6 +13,7 @@
 
 open Cmdliner
 module Explorer = Repro_dse.Explorer
+module Engine = Repro_dse.Engine
 module Solution = Repro_dse.Solution
 module Annealer = Repro_anneal.Annealer
 module Schedule = Repro_anneal.Schedule
@@ -73,9 +74,9 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
          portfolio:e1+e2+..."
     else String.concat "" (engine_name :: extras)
   in
-  (* "sa" keeps its native path (bit-identical to historical runs,
-     checkpointable); any other name runs through the registry and the
-     generic engine driver. *)
+  (* "sa" keeps its native path (bit-identical to historical runs); any
+     other name runs through the registry and the generic engine
+     driver. *)
   let lanes_seen = ref None in
   let engine =
     if engine_name = "sa" then None
@@ -127,74 +128,56 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
         (if serialized then Explorer.Makespan_serialized else Explorer.Makespan);
     }
   in
-  let checkpoint =
-    Option.map
-      (fun path -> { Explorer.path; every = checkpoint_every })
-      checkpoint_path
-  in
-  let resume =
-    if supervised then None
-    else
-      Option.map
-        (fun path ->
-          match Explorer.load_snapshot config app platform path with
-          | Ok snapshot -> snapshot
-          | Error msg -> Cli_common.fail "%s" msg)
-        resume_path
-  in
-  (* Supervised runs (any engine, any restart count) checkpoint through
-     the uniform engine contract: one file per chain.  A single chain
-     uses the given path exactly (--resume makes the load mandatory); a
+  (* One checkpoint file per chain, read and written alike: --resume
+     makes loading it mandatory, --checkpoint alone starts fresh.  A
      multi-restart run keeps PATH.r<i> per chain and resumes each one
      opportunistically on rerun. *)
+  let checkpoint =
+    let file =
+      match (checkpoint_path, resume_path) with
+      | Some p, Some r when p <> r ->
+        Cli_common.fail
+          "a run reads and writes one checkpoint file; pass the same path \
+           to --checkpoint and --resume (or drop one)"
+      | Some p, _ | None, Some p -> Some p
+      | None, None -> None
+    in
+    Option.map
+      (fun path ->
+        {
+          Engine.path;
+          every = checkpoint_every;
+          resume =
+            (if resume_path <> None then Engine.Resume_required
+             else Engine.Resume_never);
+        })
+      file
+  in
   let restart_checkpoint =
-    if (not supervised) || (checkpoint_path = None && resume_path = None) then
-      None
-    else begin
-      let module Engine = Repro_dse.Engine in
-      let single_path =
-        match (checkpoint_path, resume_path) with
-        | Some p, Some r when p <> r ->
-          Cli_common.fail
-            "an engine run reads and writes one checkpoint file; pass the \
-             same path to --checkpoint and --resume (or drop one)"
-        | Some p, _ -> p
-        | None, Some r -> r
-        | None, None -> assert false
-      in
-      let single_mode =
-        if resume_path <> None then Engine.Resume_required
-        else Engine.Resume_never
-      in
-      Some
-        (fun index ->
-          if restarts <= 1 then
-            {
-              Engine.path = single_path;
-              every = checkpoint_every;
-              resume = single_mode;
-            }
-          else
-            {
-              Engine.path = Printf.sprintf "%s.r%d" single_path index;
-              every = checkpoint_every;
-              resume = Engine.Resume_if_exists;
-            })
-    end
+    Option.map
+      (fun (ck : Engine.checkpoint) index ->
+        if restarts <= 1 then ck
+        else
+          {
+            ck with
+            path = Printf.sprintf "%s.r%d" ck.path index;
+            resume = Engine.Resume_if_exists;
+          })
+      checkpoint
   in
   let should_stop = Cli_common.should_stop ~time_budget in
   let trace = Repro_dse.Trace.create ~every:10 () in
   let result, restart_statuses, degraded =
     if not supervised then
-      ( Explorer.explore ~trace ?initial:warm_start ?checkpoint ?resume
-          ~should_stop config app platform,
+      ( Explorer.explore ~trace ?initial:warm_start ?checkpoint ~should_stop
+          config app platform,
         [],
         0 )
     else begin
       (match engine with
        | Some e ->
-         Format.printf "engine: %s — %s@." (Repro_dse.Engine.name e)
-           (Repro_dse.Engine.describe e)
+         Format.printf "engine: %s — %s@." (Engine.name e)
+           (Engine.describe e)
        | None -> ());
       let report =
         Explorer.explore_restarts_supervised ~trace ~jobs ?engine
@@ -431,8 +414,7 @@ let resume_arg =
            ~doc:"Resume from a checkpoint written by --checkpoint; the \
                  application, platform, engine and budget flags must match \
                  the checkpointed run, which then replays bit-identically.  \
-                 With a non-sa --engine the same file keeps receiving the \
-                 periodic checkpoints"
+                 The same file keeps receiving the periodic checkpoints"
            ~docv:"FILE")
 
 let time_budget_arg =

@@ -108,18 +108,12 @@ let engine_run ~neighbourhood ~tenure ~aspiration (ctx : Engine.context) =
       decode =
         (fun text ->
           let ( let* ) = Result.bind in
-          let take tag = function
-            | [] -> Error (Printf.sprintf "missing %s line" tag)
-            | line :: rest -> (
-              match String.split_on_char ' ' line with
-              | t :: fields when t = tag -> Ok (fields, rest)
-              | _ -> Error (Printf.sprintf "expected a %s line" tag))
-          in
+          let field = Repro_util.Checkpoint.field in
           let lines = String.split_on_char '\n' text in
-          let* fields, lines = take "knobs" lines in
+          let* knobs, lines = field "knobs" int_of_string_opt lines in
           let* () =
-            match List.map int_of_string_opt fields with
-            | [ Some n; Some t; Some a ] ->
+            match knobs with
+            | [ n; t; a ] ->
               if (n, t, a) <> (neighbourhood, tenure, Bool.to_int aspiration)
               then
                 Error
@@ -131,24 +125,15 @@ let engine_run ~neighbourhood ~tenure ~aspiration (ctx : Engine.context) =
               else Ok ()
             | _ -> Error "bad knobs line"
           in
-          let* fields, lines = take "current" lines in
-          let* current' =
-            match List.map float_of_string_opt fields with
-            | [ Some c ] -> Ok c
-            | _ -> Error "bad current line"
+          let* current', lines = field "current" float_of_string_opt lines in
+          let* incumbent', lines =
+            field "incumbent" float_of_string_opt lines
           in
-          let* fields, lines = take "incumbent" lines in
-          let* incumbent' =
-            match List.map float_of_string_opt fields with
-            | [ Some c ] -> Ok c
-            | _ -> Error "bad incumbent line"
-          in
-          let* fields, lines = take "window" lines in
-          let* hashes =
-            let parsed = List.map int_of_string_opt fields in
-            if List.for_all Option.is_some parsed then
-              Ok (List.map Option.get parsed)
-            else Error "bad window line"
+          let* hashes, lines = field "window" int_of_string_opt lines in
+          let* current', incumbent' =
+            match (current', incumbent') with
+            | [ c ], [ i ] -> Ok (c, i)
+            | _ -> Error "bad current or incumbent line"
           in
           let* solution =
             Solution.decode app platform (String.concat "\n" lines)

@@ -113,7 +113,7 @@ type 'state codec = {
   decode : string -> ('state, string) result;
 }
 
-(* ---- driver checkpoints ------------------------------------------- *)
+(* ---- checkpoints -------------------------------------------------- *)
 
 let checkpoint_kind = "dse-engine"
 
@@ -121,7 +121,7 @@ let checkpoint_kind = "dse-engine"
    taken under; the fingerprint ties the file to them.  The engine name
    and codec version are separate header lines so their mismatches get
    their own (more helpful) diagnostics. *)
-let drive_fingerprint ctx =
+let fingerprint ctx =
   Checkpoint.crc32_hex
     (String.concat "\n"
        [
@@ -133,136 +133,122 @@ let drive_fingerprint ctx =
             | Some m -> string_of_int m);
        ])
 
-let fingerprint = drive_fingerprint
+let resolve_resume ck load =
+  match ck.resume with
+  | Resume_never -> None
+  | Resume_required -> (
+    match load ck.path with Ok r -> Some r | Error msg -> failwith msg)
+  | Resume_if_exists ->
+    if not (Sys.file_exists ck.path) then None
+    else (
+      match load ck.path with
+      | Ok r -> Some r
+      | Error msg ->
+        Log.warn "ignoring unusable checkpoint: %s" msg;
+        None)
 
-type 'state resumed = {
-  r_iteration : int;
-  r_evaluations : int;
-  r_accepted : int;
-  r_initial_cost : float;
-  r_best_cost : float;
-  r_elapsed : float;
-  r_rng : Rng.t;
-  r_best : Solution.t;
-  r_state : 'state;
-}
+module Envelope = struct
+  type 'state t = {
+    iteration : int;
+    evaluations : int;
+    accepted : int;
+    initial_cost : float;
+    best_cost : float;
+    elapsed : float;
+    rng : Rng.t;
+    best : Solution.t;
+    state : 'state;
+  }
 
-(* Driver payload: line-oriented, floats in "%h" so every value
-   round-trips bit-exactly.  The best solution and the engine's own
-   state block close the file; [best]/[state] marker lines separate
-   them (no line of {!Solution.encode} or of a codec in this repo is a
-   bare "best"/"state"). *)
-let payload_of codec ctx ~iteration ~evaluations ~accepted ~initial_cost
-    ~best_cost ~elapsed ~rng ~best state =
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "engine %s %d\n" codec.engine codec.version;
-  Printf.bprintf b "fingerprint %s\n" (drive_fingerprint ctx);
-  Printf.bprintf b "driver %d %d %d\n" iteration evaluations accepted;
-  Printf.bprintf b "costs %h %h\n" initial_cost best_cost;
-  Printf.bprintf b "wall %h\n" elapsed;
-  Buffer.add_string b "rng";
-  Array.iter (fun w -> Printf.bprintf b " %Lx" w) (Rng.state rng);
-  Buffer.add_char b '\n';
-  Buffer.add_string b "best\n";
-  Buffer.add_string b (Solution.encode best);
-  Buffer.add_string b "state\n";
-  Buffer.add_string b (codec.encode state);
-  Buffer.contents b
+  (* Line-oriented, floats in "%h" so every value round-trips
+     bit-exactly.  The best solution and the engine's own state block
+     close the file; [best]/[state] marker lines separate them (no line
+     of {!Solution.encode} or of a codec in this repo is a bare
+     "best"/"state"). *)
+  let save codec ~fingerprint path e =
+    let b = Buffer.create 1024 in
+    Printf.bprintf b "engine %s %d\n" codec.engine codec.version;
+    Printf.bprintf b "fingerprint %s\n" fingerprint;
+    Printf.bprintf b "driver %d %d %d\n" e.iteration e.evaluations e.accepted;
+    Printf.bprintf b "costs %h %h\n" e.initial_cost e.best_cost;
+    Printf.bprintf b "wall %h\n" e.elapsed;
+    Buffer.add_string b "rng";
+    Array.iter (fun w -> Printf.bprintf b " %Lx" w) (Rng.state e.rng);
+    Buffer.add_char b '\n';
+    Buffer.add_string b "best\n";
+    Buffer.add_string b (Solution.encode e.best);
+    Buffer.add_string b "state\n";
+    Buffer.add_string b (codec.encode e.state);
+    Checkpoint.save path ~kind:checkpoint_kind (Buffer.contents b)
 
-let resumed_of_payload codec ctx payload =
-  let ( let* ) = Result.bind in
-  let fail fmt = Printf.ksprintf (fun m -> Error ("checkpoint: " ^ m)) fmt in
-  let lines = String.split_on_char '\n' payload in
-  let take tag = function
-    | [] -> fail "missing %s line" tag
-    | line :: rest -> (
-      match String.split_on_char ' ' line with
-      | t :: fields when t = tag -> Ok (fields, rest)
-      | _ -> fail "expected a %s line" tag)
-  in
-  let* fields, lines = take "engine" lines in
-  let* () =
-    match fields with
-    | [ name; version ] ->
-      if name <> codec.engine then
+  let of_payload codec ~fingerprint app platform payload =
+    let ( let* ) = Result.bind in
+    let fail fmt = Printf.ksprintf Result.error fmt in
+    let field = Checkpoint.field in
+    let lines = String.split_on_char '\n' payload in
+    let* header, lines = field "engine" Option.some lines in
+    let* () =
+      match header with
+      | [ name; _ ] when name <> codec.engine ->
         fail "written by engine %s, not %s" name codec.engine
-      else if int_of_string_opt version <> Some codec.version then
-        fail "engine %s state codec version %s, this build reads %d" name
-          version codec.version
-      else Ok ()
-    | _ -> fail "bad engine line"
-  in
-  let* fields, lines = take "fingerprint" lines in
-  let* () =
-    match fields with
-    | [ fp ] when fp = drive_fingerprint ctx -> Ok ()
-    | [ _ ] -> fail "produced under a different application/platform/seed/budget"
-    | _ -> fail "bad fingerprint line"
-  in
-  let* fields, lines = take "driver" lines in
-  let* iteration, evaluations, accepted =
-    match List.map int_of_string_opt fields with
-    | [ Some g; Some e; Some a ] -> Ok (g, e, a)
-    | _ -> fail "bad driver line"
-  in
-  let* fields, lines = take "costs" lines in
-  let* initial_cost, best_cost =
-    match List.map float_of_string_opt fields with
-    | [ Some i; Some b ] -> Ok (i, b)
-    | _ -> fail "bad costs line"
-  in
-  let* fields, lines = take "wall" lines in
-  let* elapsed =
-    match List.map float_of_string_opt fields with
-    | [ Some w ] -> Ok w
-    | _ -> fail "bad wall line"
-  in
-  let* fields, lines = take "rng" lines in
-  let* rng_words =
-    let parsed = List.map (fun s -> Int64.of_string_opt ("0x" ^ s)) fields in
-    if List.length parsed = 4 && List.for_all Option.is_some parsed then
-      Ok (Array.of_list (List.map Option.get parsed))
-    else fail "bad rng line"
-  in
-  let* best_lines, state_lines =
-    match lines with
-    | "best" :: rest -> (
-      let rec split acc = function
-        | "state" :: tail -> Ok (List.rev acc, tail)
-        | line :: tail -> split (line :: acc) tail
-        | [] -> fail "missing state section"
-      in
-      split [] rest)
-    | _ -> fail "missing best section"
-  in
-  let* best =
-    Solution.decode ctx.app ctx.platform (String.concat "\n" best_lines)
-  in
-  let* state =
-    match codec.decode (String.concat "\n" state_lines) with
-    | Ok s -> Ok s
-    | Error m -> fail "%s state: %s" codec.engine m
-  in
-  Ok
-    {
-      r_iteration = iteration;
-      r_evaluations = evaluations;
-      r_accepted = accepted;
-      r_initial_cost = initial_cost;
-      r_best_cost = best_cost;
-      r_elapsed = elapsed;
-      r_rng = Rng.of_state rng_words;
-      r_best = best;
-      r_state = state;
-    }
+      | [ _; version ] when int_of_string_opt version <> Some codec.version ->
+        fail "engine %s state codec version %s, this build reads %d"
+          codec.engine version codec.version
+      | [ _; _ ] -> Ok ()
+      | _ -> fail "bad engine line"
+    in
+    let* fp, lines = field "fingerprint" Option.some lines in
+    let* () =
+      if fp = [ fingerprint ] then Ok ()
+      else
+        fail "produced under a different application/platform/seed/configuration"
+    in
+    let* driver, lines = field "driver" int_of_string_opt lines in
+    let* costs, lines = field "costs" float_of_string_opt lines in
+    let* wall, lines = field "wall" float_of_string_opt lines in
+    let* rng, lines =
+      field "rng" (fun w -> Int64.of_string_opt ("0x" ^ w)) lines
+    in
+    let* best_lines, state_lines =
+      match lines with
+      | "best" :: rest -> (
+        let rec split acc = function
+          | "state" :: tail -> Ok (List.rev acc, tail)
+          | line :: tail -> split (line :: acc) tail
+          | [] -> fail "missing state section"
+        in
+        split [] rest)
+      | _ -> fail "missing best section"
+    in
+    let* best = Solution.decode app platform (String.concat "\n" best_lines) in
+    let* state =
+      Result.map_error
+        (fun m -> codec.engine ^ " state: " ^ m)
+        (codec.decode (String.concat "\n" state_lines))
+    in
+    match (driver, costs, wall, rng) with
+    | [ iteration; evaluations; accepted ], [ initial_cost; best_cost ],
+      [ elapsed ], [ _; _; _; _ ] ->
+      Ok
+        {
+          iteration;
+          evaluations;
+          accepted;
+          initial_cost;
+          best_cost;
+          elapsed;
+          rng = Rng.of_state (Array.of_list rng);
+          best;
+          state;
+        }
+    | _ -> fail "bad driver, costs, wall or rng line"
 
-let load_resume codec ctx path =
-  match Checkpoint.load path ~kind:checkpoint_kind with
-  | Error _ as e -> e
-  | Ok payload -> (
-    match resumed_of_payload codec ctx payload with
-    | Ok _ as ok -> ok
-    | Error msg -> Error (path ^ ": " ^ msg))
+  let load codec ~fingerprint app platform path =
+    Result.bind (Checkpoint.load path ~kind:checkpoint_kind) (fun payload ->
+        Result.map_error
+          (fun msg -> path ^ ": checkpoint: " ^ msg)
+          (of_payload codec ~fingerprint app platform payload))
+end
 
 (* The generic search loop: budget accounting, best-snapshot
    bookkeeping, cooperative interruption, per-iteration observation —
@@ -274,70 +260,63 @@ let load_resume codec ctx path =
 let drive ?codec ctx ~init ~step ~snapshot =
   let start_clock = Clock.wall () in
   let stop = stop_probe ctx in
-  (match (ctx.checkpoint, codec) with
-   | Some _, None ->
-     invalid_arg
-       "Engine.drive: checkpointing requested but the engine has no state \
-        codec"
-   | _ -> ());
-  let resumed =
+  let persist =
     match (ctx.checkpoint, codec) with
-    | Some ck, Some codec -> (
-      match ck.resume with
-      | Resume_never -> None
-      | Resume_required -> (
-        match load_resume codec ctx ck.path with
-        | Ok r -> Some r
-        | Error msg -> failwith msg)
-      | Resume_if_exists ->
-        if not (Sys.file_exists ck.path) then None
-        else (
-          match load_resume codec ctx ck.path with
-          | Ok r -> Some r
-          | Error msg ->
-            Log.warn "ignoring unusable checkpoint: %s" msg;
-            None))
-    | _ -> None
+    | Some _, None ->
+      invalid_arg
+        "Engine.drive: checkpointing requested but the engine has no state \
+         codec"
+    | Some ck, Some codec -> Some (ck, codec, fingerprint ctx)
+    | None, _ -> None
   in
-  let rng, state0, initial_cost, start_iteration, wall_offset =
-    match resumed with
+  let start =
+    match
+      Option.bind persist (fun (ck, codec, fingerprint) ->
+          resolve_resume ck
+            (Envelope.load codec ~fingerprint ctx.app ctx.platform))
+    with
+    | Some e -> e
     | None ->
+      (* [init] runs only on a fresh start; a resumed run restores the
+         engine's working state through the codec instead. *)
       let rng = Rng.create ctx.seed in
-      (rng, None, None, 0, 0.0)
-    | Some r -> (r.r_rng, Some r.r_state, Some r.r_initial_cost, r.r_iteration, r.r_elapsed)
+      let state, initial_cost, evaluations = init rng in
+      {
+        Envelope.iteration = 0;
+        evaluations;
+        accepted = 0;
+        initial_cost;
+        best_cost = initial_cost;
+        elapsed = 0.0;
+        rng;
+        best = snapshot state;
+        state;
+      }
   in
-  (* [init] runs only on a fresh start; a resumed run restores the
-     engine's working state through the codec instead. *)
-  let state, initial_cost, initial_evals =
-    match (state0, initial_cost) with
-    | Some s, Some c -> (s, c, 0)
-    | _ ->
-      let s, c, e = init rng in
-      (s, c, e)
-  in
-  let best =
-    ref (match resumed with Some r -> r.r_best | None -> snapshot state)
-  in
-  let best_cost =
-    ref (match resumed with Some r -> r.r_best_cost | None -> initial_cost)
-  in
-  let evaluations =
-    ref
-      (match resumed with Some r -> r.r_evaluations | None -> initial_evals)
-  in
-  let accepted = ref (match resumed with Some r -> r.r_accepted | None -> 0) in
+  let { Envelope.rng; iteration = start_iteration; _ } = start in
+  let best = ref start.best in
+  let best_cost = ref start.best_cost in
+  let evaluations = ref start.evaluations in
+  let accepted = ref start.accepted in
   let status = ref Complete in
-  let state = ref state in
+  let state = ref start.state in
   let g = ref start_iteration in
+  let elapsed () = start.elapsed +. Clock.wall () -. start_clock in
   let save_checkpoint () =
-    match (ctx.checkpoint, codec) with
-    | Some ck, Some codec ->
-      Checkpoint.save ck.path ~kind:checkpoint_kind
-        (payload_of codec ctx ~iteration:!g ~evaluations:!evaluations
-           ~accepted:!accepted ~initial_cost ~best_cost:!best_cost
-           ~elapsed:(wall_offset +. Clock.wall () -. start_clock)
-           ~rng ~best:!best !state)
-    | _ -> ()
+    Option.iter
+      (fun (ck, codec, fingerprint) ->
+        Envelope.save codec ~fingerprint ck.path
+          {
+            start with
+            Envelope.iteration = !g;
+            evaluations = !evaluations;
+            accepted = !accepted;
+            best_cost = !best_cost;
+            elapsed = elapsed ();
+            best = !best;
+            state = !state;
+          })
+      persist
   in
   (try
      while !g < ctx.budget.iterations do
@@ -376,10 +355,10 @@ let drive ?codec ctx ~init ~step ~snapshot =
   {
     best = !best;
     best_cost = !best_cost;
-    initial_cost;
+    initial_cost = start.initial_cost;
     iterations_run = !g;
     evaluations = !evaluations;
     accepted = !accepted;
-    wall_seconds = wall_offset +. Clock.wall () -. start_clock;
+    wall_seconds = elapsed ();
     status = !status;
   }

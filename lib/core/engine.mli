@@ -33,7 +33,8 @@
     budget accounting, best-snapshot bookkeeping, interrupt handling
     and trace emission; the annealer implements the same contract
     natively on top of its warmup/cooling loop (see
-    {!Explorer.sa_engine}). *)
+    {!Explorer.sa_engine}) and checkpoints through the same
+    {!Envelope}. *)
 
 open Repro_taskgraph
 open Repro_arch
@@ -197,12 +198,52 @@ val fingerprint : context -> string
 (** CRC fingerprint tying a driver checkpoint to its inputs, seed and
     budget (application text, platform text, seed, iteration and
     evaluation budgets).  Exposed so meta-engines (the portfolio) can
-    stamp their own native checkpoints with the same binding. *)
+    stamp their own checkpoints with the same binding. *)
 
 val checkpoint_kind : string
-(** The {!Repro_util.Checkpoint} kind tag of driver checkpoints,
-    ["dse-engine"].  (The annealer's native snapshots keep their own
-    ["dse-run"] kind; {!Checkpoint.inspect} tells them apart.) *)
+(** The {!Repro_util.Checkpoint} kind tag of every engine checkpoint,
+    ["dse-engine"]: the driven engines, the annealer and the
+    portfolio all write it. *)
+
+val resolve_resume :
+  checkpoint -> (string -> ('a, string) result) -> 'a option
+(** [resolve_resume ck load] applies [ck.resume] to the file at
+    [ck.path]: [Resume_never] answers [None] without touching it;
+    [Resume_if_exists] answers [None] for a missing file and, for one
+    [load] rejects, logs a warning and answers [None] (start fresh);
+    [Resume_required] raises [Failure] with [load]'s one-line error
+    unless the file loads.  The one place the resume policy lives. *)
+
+(** The checkpoint envelope shared by every engine: the header lines
+    (engine name and codec version, fingerprint), the driver counters,
+    the costs, the wall-clock offset, the RNG words and the best
+    solution, followed by the engine's own [state] section written by
+    its {!codec}. *)
+module Envelope : sig
+  type 'state t = {
+    iteration : int;       (** the next iteration to run *)
+    evaluations : int;     (** cost evaluations so far *)
+    accepted : int;        (** accepted iterations so far *)
+    initial_cost : float;  (** cost of the run's initial state *)
+    best_cost : float;
+    elapsed : float;       (** wall seconds already spent *)
+    rng : Repro_util.Rng.t;
+    best : Solution.t;     (** best solution so far *)
+    state : 'state;        (** the engine's working state *)
+  }
+
+  val save : 'state codec -> fingerprint:string -> string -> 'state t -> unit
+  (** [save codec ~fingerprint path e] writes [e] atomically as a
+      {!checkpoint_kind} checkpoint. *)
+
+  val load :
+    'state codec -> fingerprint:string -> App.t -> Platform.t -> string ->
+    ('state t, string) result
+  (** Inverse of {!save}.  A missing, corrupt or truncated file, a
+      foreign kind, another engine's or codec version's file, or a
+      fingerprint other than [fingerprint] is a one-line [Error]
+      naming the path. *)
+end
 
 val drive :
   ?codec:'state codec ->
@@ -222,13 +263,14 @@ val drive :
     When [context.checkpoint] is set, [codec] is mandatory
     ([Invalid_argument] otherwise) and the driver persists a snapshot
     — its counters, the RNG words, the best solution and
-    [codec.encode state] — into the versioned [REPRO-CKPT] container
-    at every [every] iteration boundary and on interruption.  Saves
+    [codec.encode state] — as an {!Envelope} at every [every] iteration
+    boundary and on interruption.  Saves
     and loads happen only at iteration boundaries, before the step
     runs, so a resumed run replays the exact remaining iterations: the
     outcome (best solution, costs, counters) is bit-identical to the
     uninterrupted run.  [resume] says whether an existing file is
-    ignored, opportunistically continued, or required; a required
+    ignored, opportunistically continued, or required
+    ({!resolve_resume}); a required
     checkpoint that is missing, corrupt, of the wrong kind, from a
     different engine or codec version, or fingerprint-mismatched
     (different app/platform/seed/budget) raises a one-line

@@ -7,7 +7,6 @@ module Rng = Repro_util.Rng
 module Parallel = Repro_util.Parallel
 module Clock = Repro_util.Clock
 module Checkpoint = Repro_util.Checkpoint
-module Log = Repro_util.Log
 
 type objective =
   | Makespan
@@ -47,176 +46,134 @@ type result = {
   status : Annealer.status;
 }
 
-type run_checkpoint = { path : string; every : int }
-
-let run_checkpoint_kind = "dse-run"
-
-(* A checkpoint only resumes against the inputs and budget it was taken
-   under; the fingerprint ties the file to them. *)
+(* A checkpoint only resumes against the inputs and configuration it
+   was taken under; the fingerprint ties the file to them. *)
 let fingerprint config application platform =
+  let anneal = config.anneal in
   Checkpoint.crc32_hex
     (String.concat "\n"
        [
          App_io.to_string application;
          Platform_io.to_string platform;
-         Printf.sprintf "anneal %d %d %s %d" config.anneal.Annealer.iterations
-           config.anneal.Annealer.warmup_iterations
-           (Schedule.name config.anneal.Annealer.schedule)
-           config.anneal.Annealer.seed;
+         Printf.sprintf "anneal %d %d %s %d %s %s" anneal.Annealer.iterations
+           anneal.Annealer.warmup_iterations
+           (Schedule.name anneal.Annealer.schedule)
+           anneal.Annealer.seed
+           (match anneal.Annealer.frozen_window with
+            | None -> "-"
+            | Some w -> string_of_int w)
+           (match config.objective with
+            | Makespan -> "makespan"
+            | Makespan_serialized -> "serialized"
+            | Min_period -> "period"
+            | Cost_under_deadline { penalty_per_ms } ->
+              Printf.sprintf "deadline:%h" penalty_per_ms);
        ])
 
-(* Snapshot payload: line-oriented, floats in "%h" so every value
-   round-trips bit-exactly.  The two solution blocks close the file;
-   [current]/[best] marker lines separate them. *)
-let payload_of_snapshot ~fingerprint:fp (s : Solution.t Annealer.snapshot) =
-  let b = Buffer.create 1024 in
-  let add_floats tag a =
-    Buffer.add_string b tag;
-    Array.iter (fun x -> Printf.bprintf b " %h" x) a;
-    Buffer.add_char b '\n'
-  in
-  Printf.bprintf b "fingerprint %s\n" fp;
-  Buffer.add_string b "rng";
-  Array.iter (fun w -> Printf.bprintf b " %Lx" w) s.Annealer.rng_state;
-  Buffer.add_char b '\n';
-  add_floats "schedule" s.Annealer.schedule_state;
-  add_floats "warmup" s.Annealer.warmup_state;
-  Printf.bprintf b "next %d\n" s.Annealer.next_iteration;
-  Printf.bprintf b "counters %d %d %d\n" s.Annealer.accepted_so_far
-    s.Annealer.infeasible_so_far s.Annealer.since_improvement;
-  Printf.bprintf b "costs %h %h\n" s.Annealer.current_cost
-    s.Annealer.best_so_far_cost;
-  Buffer.add_string b "current\n";
-  Buffer.add_string b (Solution.encode s.Annealer.current);
-  Buffer.add_string b "best\n";
-  Buffer.add_string b (Solution.encode s.Annealer.best_so_far);
-  Buffer.contents b
+(* The annealer's part of a snapshot: the [state] section of its
+   checkpoint.  The {!Engine.Envelope} carries the rest — RNG words,
+   next iteration, accepted count, best solution and cost. *)
+type sa_state = {
+  current : Solution.t;
+  current_cost : float;
+  schedule_state : float array;
+  warmup_state : float array;
+  infeasible_so_far : int;
+  since_improvement : int;
+}
 
-let snapshot_of_payload ~fingerprint:fp application platform payload =
-  let ( let* ) = Result.bind in
-  let fail fmt = Printf.ksprintf (fun m -> Error ("checkpoint: " ^ m)) fmt in
-  let lines = String.split_on_char '\n' payload in
-  let take tag = function
-    | [] -> fail "missing %s line" tag
-    | line :: rest -> (
-      match String.split_on_char ' ' line with
-      | t :: fields when t = tag -> Ok (fields, rest)
-      | _ -> fail "expected a %s line" tag)
+let sa_codec application platform =
+  let floats tag a =
+    String.concat " " (tag :: List.map (Printf.sprintf "%h") (Array.to_list a))
   in
-  let floats tag fields =
-    let parsed = List.map float_of_string_opt fields in
-    if List.for_all Option.is_some parsed then
-      Ok (Array.of_list (List.map Option.get parsed))
-    else fail "bad %s value" tag
-  in
-  let ints tag fields =
-    let parsed = List.map int_of_string_opt fields in
-    if List.for_all Option.is_some parsed then
-      Ok (List.map Option.get parsed)
-    else fail "bad %s value" tag
-  in
-  let* fields, lines = take "fingerprint" lines in
-  let* () =
-    match fields with
-    | [ fp' ] when fp' = fp -> Ok ()
-    | [ _ ] ->
-      fail "produced under a different application/platform/configuration"
-    | _ -> fail "bad fingerprint line"
-  in
-  let* fields, lines = take "rng" lines in
-  let* rng_state =
-    let parsed =
-      List.map (fun s -> Int64.of_string_opt ("0x" ^ s)) fields
+  let decode text =
+    let ( let* ) = Result.bind in
+    let field = Checkpoint.field in
+    let lines = String.split_on_char '\n' text in
+    let* schedule, lines = field "schedule" float_of_string_opt lines in
+    let* warmup, lines = field "warmup" float_of_string_opt lines in
+    let* counters, lines = field "counters" int_of_string_opt lines in
+    let* cost, lines = field "current" float_of_string_opt lines in
+    let* current =
+      Solution.decode application platform (String.concat "\n" lines)
     in
-    if List.length parsed = 4 && List.for_all Option.is_some parsed then
-      Ok (Array.of_list (List.map Option.get parsed))
-    else fail "bad rng line"
+    match (counters, cost) with
+    | [ infeasible_so_far; since_improvement ], [ current_cost ] ->
+      Ok
+        {
+          current;
+          current_cost;
+          schedule_state = Array.of_list schedule;
+          warmup_state = Array.of_list warmup;
+          infeasible_so_far;
+          since_improvement;
+        }
+    | _ -> Error "bad counters or current line"
   in
-  let* fields, lines = take "schedule" lines in
-  let* schedule_state = floats "schedule" fields in
-  let* fields, lines = take "warmup" lines in
-  let* warmup_state = floats "warmup" fields in
-  let* fields, lines = take "next" lines in
-  let* next_iteration =
-    match ints "next" fields with Ok [ g ] -> Ok g | _ -> fail "bad next line"
-  in
-  let* fields, lines = take "counters" lines in
-  let* accepted, infeasible, since =
-    match ints "counters" fields with
-    | Ok [ a; i; s ] -> Ok (a, i, s)
-    | _ -> fail "bad counters line"
-  in
-  let* fields, lines = take "costs" lines in
-  let* current_cost, best_cost =
-    match fields with
-    | [ c; b ] -> (
-      match (float_of_string_opt c, float_of_string_opt b) with
-      | Some c, Some b -> Ok (c, b)
-      | _ -> fail "bad costs line")
-    | _ -> fail "bad costs line"
-  in
-  let* current_lines, best_lines =
-    match lines with
-    | "current" :: rest -> (
-      let rec split acc = function
-        | "best" :: tail -> Ok (List.rev acc, tail)
-        | line :: tail -> split (line :: acc) tail
-        | [] -> fail "missing best section"
-      in
-      split [] rest)
-    | _ -> fail "missing current section"
-  in
-  let block ls = String.concat "\n" ls in
-  let* current = Solution.decode application platform (block current_lines) in
-  let* best = Solution.decode application platform (block best_lines) in
-  Ok
-    {
-      Annealer.rng_state;
-      schedule_state;
-      warmup_state;
-      next_iteration;
-      current;
-      current_cost;
-      best_so_far = best;
-      best_so_far_cost = best_cost;
-      accepted_so_far = accepted;
-      infeasible_so_far = infeasible;
-      since_improvement = since;
-    }
+  {
+    Engine.engine = "sa";
+    version = 1;
+    encode =
+      (fun s ->
+        Printf.sprintf "%s\n%s\ncounters %d %d\ncurrent %h\n%s"
+          (floats "schedule" s.schedule_state)
+          (floats "warmup" s.warmup_state)
+          s.infeasible_so_far s.since_improvement s.current_cost
+          (Solution.encode s.current));
+    decode;
+  }
 
-let save_snapshot config application platform path snapshot =
-  Checkpoint.save path ~kind:run_checkpoint_kind
-    (payload_of_snapshot
-       ~fingerprint:(fingerprint config application platform)
-       snapshot)
+let envelope_of_snapshot ~initial_cost ~elapsed
+    (s : Solution.t Annealer.snapshot) =
+  {
+    Engine.Envelope.iteration = s.Annealer.next_iteration;
+    evaluations = s.Annealer.next_iteration - s.Annealer.infeasible_so_far;
+    accepted = s.Annealer.accepted_so_far;
+    initial_cost;
+    best_cost = s.Annealer.best_so_far_cost;
+    elapsed;
+    rng = Rng.of_state s.Annealer.rng_state;
+    best = s.Annealer.best_so_far;
+    state =
+      {
+        current = s.Annealer.current;
+        current_cost = s.Annealer.current_cost;
+        schedule_state = s.Annealer.schedule_state;
+        warmup_state = s.Annealer.warmup_state;
+        infeasible_so_far = s.Annealer.infeasible_so_far;
+        since_improvement = s.Annealer.since_improvement;
+      };
+  }
 
-let load_snapshot config application platform path =
-  Result.bind (Checkpoint.load path ~kind:run_checkpoint_kind) (fun payload ->
-      match
-        snapshot_of_payload
-          ~fingerprint:(fingerprint config application platform)
-          application platform payload
-      with
-      | Ok _ as ok -> ok
-      | Error msg -> Error (path ^ ": " ^ msg))
+let snapshot_of_envelope (e : sa_state Engine.Envelope.t) =
+  let s = e.Engine.Envelope.state in
+  {
+    Annealer.rng_state = Rng.state e.Engine.Envelope.rng;
+    schedule_state = s.schedule_state;
+    warmup_state = s.warmup_state;
+    next_iteration = e.Engine.Envelope.iteration;
+    current = s.current;
+    current_cost = s.current_cost;
+    best_so_far = e.Engine.Envelope.best;
+    best_so_far_cost = e.Engine.Envelope.best_cost;
+    accepted_so_far = e.Engine.Envelope.accepted;
+    infeasible_so_far = s.infeasible_so_far;
+    since_improvement = s.since_improvement;
+  }
 
-(* The incumbent of any checkpoint, for cross-engine warm starts
+(* The incumbent of any engine checkpoint, for cross-engine warm starts
    (--seed-from).  Deliberately *not* fingerprint-checked: the donor
    may be a different engine under a different seed or budget — the
    only requirement is that its best solution decodes against the
-   current application and platform (the "inputs-only" rule).  Both
-   checkpoint dialects carry the best solution behind a bare marker
-   line no solution encoding can contain: the annealer's "dse-run"
-   files close with it ([current]…[best]…), the driver's and the
-   portfolio's "dse-engine" files hold it between [best] and
-   [state]. *)
+   current application and platform (the "inputs-only" rule).  Every
+   "dse-engine" file holds it between bare [best] and [state] marker
+   lines no solution encoding can contain. *)
 let read_incumbent path application platform =
   let ( let* ) = Result.bind in
   let fail fmt =
     Printf.ksprintf (fun m -> Error (path ^ ": checkpoint: " ^ m)) fmt
   in
   let* kind, payload = Checkpoint.inspect path in
-  let lines = String.split_on_char '\n' payload in
   let rec drop_to marker = function
     | [] -> None
     | l :: tail -> if l = marker then Some tail else drop_to marker tail
@@ -227,15 +184,12 @@ let read_incumbent path application platform =
     | l :: tail -> take_until marker (l :: acc) tail
   in
   let* best_lines =
-    if kind = run_checkpoint_kind then
-      match Option.bind (drop_to "current" lines) (drop_to "best") with
-      | Some ls -> Ok ls
-      | None -> fail "missing best section"
-    else if kind = Engine.checkpoint_kind then
-      match drop_to "best" lines with
+    if kind <> Engine.checkpoint_kind then
+      fail "kind %S holds no incumbent solution" kind
+    else
+      match drop_to "best" (String.split_on_char '\n' payload) with
       | Some ls -> Ok (take_until "state" [] ls)
       | None -> fail "missing best section"
-    else fail "kind %S holds no incumbent solution" kind
   in
   match
     Solution.decode application platform (String.concat "\n" best_lines)
@@ -277,8 +231,8 @@ type frontier_point = {
   meets : bool;
 }
 
-let explore ?trace ?initial ?checkpoint ?resume ?should_stop ?on_iteration
-    config application platform =
+let explore ?trace ?initial ?checkpoint ?should_stop ?on_iteration config
+    application platform =
   let module P = struct
     type state = Solution.t
 
@@ -286,11 +240,26 @@ let explore ?trace ?initial ?checkpoint ?resume ?should_stop ?on_iteration
     let snapshot = Solution.snapshot
     let propose rng s = Moves.propose rng config.moves s
   end in
-  let module Engine = Annealer.Make (P) in
+  let module Sa = Annealer.Make (P) in
   let start_clock = Clock.wall () in
-  let solution, initial_cost =
-    match resume with
-    | Some snap -> (snap.Annealer.current, snap.Annealer.current_cost)
+  let persist =
+    Option.map
+      (fun ck ->
+        (ck, sa_codec application platform,
+         fingerprint config application platform))
+      checkpoint
+  in
+  let resumed =
+    Option.bind persist (fun (ck, codec, fingerprint) ->
+        Engine.resolve_resume ck
+          (Engine.Envelope.load codec ~fingerprint application platform))
+  in
+  let solution, initial_cost, elapsed_before =
+    match resumed with
+    | Some e ->
+      ( e.Engine.Envelope.state.current,
+        e.Engine.Envelope.initial_cost,
+        e.Engine.Envelope.elapsed )
     | None ->
       let solution =
         match initial with
@@ -303,8 +272,9 @@ let explore ?trace ?initial ?checkpoint ?resume ?should_stop ?on_iteration
        | Some _ -> ()
        | None ->
          invalid_arg "Explorer.explore: initial solution is infeasible");
-      (solution, P.cost solution)
+      (solution, P.cost solution, 0.0)
   in
+  let elapsed () = elapsed_before +. Clock.wall () -. start_clock in
   let annealer_trace =
     let record =
       Option.map
@@ -329,19 +299,23 @@ let explore ?trace ?initial ?checkpoint ?resume ?should_stop ?on_iteration
           f ~iteration ~cost ~best ~temperature ~accepted;
           g ~iteration ~cost ~best ~temperature ~accepted)
   in
-  let checkpoint =
+  let sink =
     Option.map
-      (fun { path; every } ->
-        (every, save_snapshot config application platform path))
-      checkpoint
+      (fun ((ck : Engine.checkpoint), codec, fingerprint) ->
+        ( ck.Engine.every,
+          fun snapshot ->
+            Engine.Envelope.save codec ~fingerprint ck.Engine.path
+              (envelope_of_snapshot ~initial_cost ~elapsed:(elapsed ())
+                 snapshot) ))
+      persist
   in
   let outcome =
-    match resume with
-    | Some snap ->
-      Engine.resume ?trace:annealer_trace ?checkpoint ?should_stop
-        config.anneal snap
+    match resumed with
+    | Some e ->
+      Sa.resume ?trace:annealer_trace ?checkpoint:sink ?should_stop
+        config.anneal (snapshot_of_envelope e)
     | None ->
-      Engine.run ?trace:annealer_trace ?checkpoint ?should_stop config.anneal
+      Sa.run ?trace:annealer_trace ?checkpoint:sink ?should_stop config.anneal
         solution
   in
   let best = outcome.Annealer.best in
@@ -358,35 +332,11 @@ let explore ?trace ?initial ?checkpoint ?resume ?should_stop ?on_iteration
     iterations_run = outcome.Annealer.iterations_run;
     accepted = outcome.Annealer.accepted;
     infeasible = outcome.Annealer.infeasible;
-    wall_seconds = Clock.wall () -. start_clock;
+    wall_seconds = elapsed ();
     status = outcome.Annealer.status;
   }
 
 (* ---- the annealer as a registered engine -------------------------- *)
-
-(* Translate the engine-layer checkpoint contract into the annealer's
-   native snapshot machinery (kind "dse-run", annealing-config
-   fingerprint), so `--checkpoint --engine sa` and the daemon speak the
-   same protocol as the historical native flags. *)
-let native_checkpoint config application platform (ck : Engine.checkpoint) =
-  let sink = { path = ck.Engine.path; every = ck.Engine.every } in
-  let resume =
-    match ck.Engine.resume with
-    | Engine.Resume_never -> None
-    | Engine.Resume_required -> (
-      match load_snapshot config application platform ck.Engine.path with
-      | Ok snap -> Some snap
-      | Error msg -> failwith msg)
-    | Engine.Resume_if_exists ->
-      if not (Sys.file_exists ck.Engine.path) then None
-      else (
-        match load_snapshot config application platform ck.Engine.path with
-        | Ok snap -> Some snap
-        | Error msg ->
-          Log.warn "ignoring unusable checkpoint: %s" msg;
-          None)
-  in
-  (sink, resume)
 
 (* The annealer implements the Engine contract natively: the generic
    iteration budget is the *total* move count (warmup + cooling), so
@@ -436,20 +386,11 @@ module Sa_engine : Engine.S = struct
           f { Engine.iteration = iteration + warmup; cost; best; accepted })
         ctx.Engine.observe
     in
-    let checkpoint, resume =
-      match ctx.Engine.checkpoint with
-      | None -> (None, None)
-      | Some ck ->
-        let sink, resume =
-          native_checkpoint config ctx.Engine.app ctx.Engine.platform ck
-        in
-        (Some sink, resume)
-    in
     let result =
       explore
         ~should_stop:(Engine.stop_probe ctx)
         ?initial:(Option.map Solution.snapshot ctx.Engine.warm_start)
-        ?on_iteration ?checkpoint ?resume config ctx.Engine.app
+        ?on_iteration ?checkpoint:ctx.Engine.checkpoint config ctx.Engine.app
         ctx.Engine.platform
     in
     {
@@ -539,19 +480,10 @@ let supervise_restarts ?trace ?(jobs = 1) ?restart_timeout ?should_stop
       let config =
         { config with anneal = { config.anneal with Annealer.seed } }
       in
-      let checkpoint, resume =
-        match checkpoint with
-        | None -> (None, None)
-        | Some ck ->
-          let sink, resume =
-            native_checkpoint config application platform ck
-          in
-          (Some sink, resume)
-      in
       (* The per-restart deadline reaches the annealer as its stop
          probe: a chain out of budget returns best-so-far at the next
          iteration boundary instead of being torn down. *)
-      explore ?trace ?checkpoint ?resume ~should_stop:stop
+      explore ?trace ?checkpoint ~should_stop:stop
         ?initial:(Option.map Solution.snapshot warm_start)
         config application platform
     | Some engine ->

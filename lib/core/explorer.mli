@@ -65,51 +65,37 @@ type result = {
 val cost_of : objective -> Solution.t -> float
 (** The scalar the annealer minimizes. *)
 
-type run_checkpoint = { path : string; every : int }
-(** Periodic snapshot sink: every [every] iterations the engine state
-    is written to [path] as a {!Repro_util.Checkpoint} of kind
-    ["dse-run"] (atomic, CRC-checked, floats in hex so resume is
-    bit-exact). *)
-
-val save_snapshot :
-  config -> App.t -> Platform.t -> string ->
-  Solution.t Repro_anneal.Annealer.snapshot -> unit
-(** Persist an engine snapshot; the file embeds a fingerprint of the
-    application, platform and annealing configuration. *)
-
-val load_snapshot :
-  config -> App.t -> Platform.t -> string ->
-  (Solution.t Repro_anneal.Annealer.snapshot, string) Stdlib.result
-(** Load a snapshot saved by {!save_snapshot} (or by the periodic
-    sink); fails with a one-line message when the file is damaged or
-    was produced under different inputs or configuration. *)
-
 val read_incumbent :
   string -> App.t -> Platform.t -> (Solution.t, string) Stdlib.result
 (** [read_incumbent path app platform] extracts the best-so-far
-    solution from any checkpoint file — the annealer's native
-    ["dse-run"] snapshots and the engine driver's (or the portfolio's)
-    ["dse-engine"] files alike — and decodes it against [app] and
-    [platform].  This is the [--seed-from] primitive: unlike
-    {!load_snapshot}, no fingerprint is checked, so an incumbent found
+    solution from any engine checkpoint file (kind ["dse-engine"]:
+    the annealer's, a driven engine's or the portfolio's) and decodes
+    it against [app] and [platform].  This is the [--seed-from]
+    primitive: unlike a resume, no fingerprint is checked, so an
+    incumbent found
     by one engine (any seed, any budget) can warm-start any other; the
     only contract is that the donor ran on the same inputs (the
     decode fails otherwise). *)
 
 val explore :
-  ?trace:Trace.t -> ?initial:Solution.t -> ?checkpoint:run_checkpoint ->
-  ?resume:Solution.t Repro_anneal.Annealer.snapshot ->
+  ?trace:Trace.t -> ?initial:Solution.t -> ?checkpoint:Engine.checkpoint ->
   ?should_stop:(unit -> bool) ->
   ?on_iteration:(iteration:int -> cost:float -> best:float ->
                  temperature:float -> accepted:bool -> unit) ->
   config -> App.t -> Platform.t -> result
 (** Run one exploration.  The initial solution defaults to
-    {!Solution.random} drawn from the annealing seed.  [resume]
-    continues a checkpointed run instead of starting fresh ([initial]
-    is then ignored); the resumed run replays the uninterrupted one bit
-    for bit.  [should_stop] is polled at iteration boundaries — on
-    [true] the run flushes a final checkpoint (when [checkpoint] is
-    given) and returns with status [Interrupted].  [on_iteration] is a
+    {!Solution.random} drawn from the annealing seed.  [checkpoint]
+    writes the run's state to [checkpoint.path] every
+    [checkpoint.every] iterations as an {!Engine.Envelope} (kind
+    ["dse-engine"], engine ["sa"]) whose fingerprint binds the
+    application, platform and the whole annealing configuration
+    (budgets, schedule, seed, frozen window, objective);
+    [checkpoint.resume] decides whether an existing file is continued
+    ({!Engine.resolve_resume}).  A resumed run ignores [initial] and
+    replays the uninterrupted one bit for bit, [initial_cost] and the
+    wall-clock offset included.  [should_stop] is polled at iteration
+    boundaries — on [true] the run flushes a final checkpoint (when
+    [checkpoint] is given) and returns with status [Interrupted].  [on_iteration] is a
     streaming observation callback firing once per annealing iteration
     (warmup iterations carry negative indices), independent of [trace]
     recording.  Raises [Invalid_argument] when [Cost_under_deadline] is
@@ -125,16 +111,10 @@ val sa_engine : Engine.t
     per-iteration observations follow the contract; the objective is
     the makespan.
 
-    [context.checkpoint] is honoured through the annealer's native
-    snapshot machinery (kind ["dse-run"], annealing-config
-    fingerprint), so [dse-run --checkpoint --engine sa] resumes
-    bit-identically like every driven engine; an evaluation budget is
-    enforced exactly by capping the move count (the annealer spends at
-    most one evaluation per move).  One caveat inherited from the
-    native snapshot format: a resumed run reports the checkpoint's
-    {e current} cost as [initial_cost] (the original initial cost does
-    not cross the file), while all other outcome fields resume
-    bit-identically. *)
+    [context.checkpoint] is honoured by {!explore}, so the annealer
+    resumes bit-identically like every driven engine; an evaluation
+    budget is enforced exactly by capping the move count (the annealer
+    spends at most one evaluation per move). *)
 
 val result_of_outcome : Engine.outcome -> result
 (** A generic engine's outcome dressed as the explorer's {!result}:
@@ -200,8 +180,7 @@ val explore_restarts_supervised :
     [restart_checkpoint] makes the supervised run crash-safe: it maps
     a restart index to that chain's {!Engine.checkpoint} (path,
     cadence, resume mode).  Generic engines receive it through their
-    context; the native annealer translates it onto its own snapshot
-    machinery.  Because per-restart seeds are derived from the index,
+    context, the native annealer through {!explore}.  Because per-restart seeds are derived from the index,
     each chain's checkpoint resumes exactly that chain.
 
     [warm_start] hands every restart the same donated incumbent

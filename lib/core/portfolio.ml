@@ -486,27 +486,13 @@ let run_portfolio ?report ~spec ~engines (ctx : Engine.context) =
     gobs := iterations_total ()
   in
   let load_own path =
-    match Checkpoint.load path ~kind:Engine.checkpoint_kind with
-    | Error _ as e -> e
-    | Ok payload -> (
-      match parse_payload payload with
-      | Ok r -> Ok r
-      | Error msg -> Error (path ^ ": " ^ msg))
+    Result.bind (Checkpoint.load path ~kind:Engine.checkpoint_kind)
+      (fun payload ->
+        Result.map_error (fun msg -> path ^ ": " ^ msg) (parse_payload payload))
   in
-  (match ctx.Engine.checkpoint with
-   | None -> ()
-   | Some ck -> (
-     match ck.Engine.resume with
-     | Engine.Resume_never -> ()
-     | Engine.Resume_required -> (
-       match load_own ck.Engine.path with
-       | Ok r -> apply_resume r
-       | Error msg -> failwith msg)
-     | Engine.Resume_if_exists ->
-       if Sys.file_exists ck.Engine.path then (
-         match load_own ck.Engine.path with
-         | Ok r -> apply_resume r
-         | Error msg -> Log.warn "ignoring unusable checkpoint: %s" msg)));
+  Option.iter apply_resume
+    (Option.bind ctx.Engine.checkpoint (fun ck ->
+         Engine.resolve_resume ck load_own));
   let last_saved = ref (iterations_total ()) in
   let maybe_save () =
     match ctx.Engine.checkpoint with

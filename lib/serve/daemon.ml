@@ -135,78 +135,47 @@ let run_attempt config spool job ~attempts ~stop ~deadline_expired =
         | Error msg -> failwith msg)
     in
     if job.Job.restarts <= 1 then begin
-      let ckpt = Spool.checkpoint_path spool name in
-      match engine with
-      | Some engine ->
-        (* Uniform engine path: the driver owns resume (opportunistic —
-           a stale or foreign checkpoint is warned about and ignored)
-           and flushes a final checkpoint when the deadline interrupts
-           the run, which the timed-out retry contract relies on. *)
-        let ctx =
-          Engine.context ~should_stop:stop
-            ~checkpoint:
-              {
-                Engine.path = ckpt;
-                every = config.checkpoint_every;
-                resume = Engine.Resume_if_exists;
-              }
-            ~app ~platform ~seed:job.Job.seed ~iterations:job.Job.iters ()
-        in
-        let outcome = Engine.run engine ctx in
-        (match outcome.Engine.status with
-         | Engine.Interrupted when not (deadline_expired ()) -> Shutdown
-         | status ->
-           let status =
-             match status with
-             | Engine.Complete -> "complete"
-             | Engine.Interrupted -> "timed-out"
-           in
-           let result = Explorer.result_of_outcome outcome in
-           Finished
-             {
-               status;
-               json =
-                 result_json job ~status ~attempts ~result
-                   ~restart_statuses:[] ~degraded:0;
-             })
-      | None ->
-        let resume =
-          if Sys.file_exists ckpt then
-            match Explorer.load_snapshot explorer_config app platform ckpt with
-            | Ok snapshot ->
-              Log.info ~fields:[ ("job", Json.Str job.Job.name) ]
-                "resuming from checkpoint";
-              Some snapshot
-            | Error msg ->
-              (* A stale or foreign checkpoint must not poison the job:
-                 start the run over from the seed. *)
-              Log.warn ~fields:[ ("job", Json.Str job.Job.name) ]
-                "ignoring unusable checkpoint: %s" msg;
-              None
-          else None
-        in
-        let result =
-          Explorer.explore
-            ~checkpoint:
-              { Explorer.path = ckpt; every = config.checkpoint_every }
-            ?resume ~should_stop:stop explorer_config app platform
-        in
-        (match result.Explorer.status with
-         | Repro_anneal.Annealer.Interrupted when not (deadline_expired ()) ->
-           Shutdown
-         | status ->
-           let status =
-             match status with
-             | Repro_anneal.Annealer.Complete -> "complete"
-             | Repro_anneal.Annealer.Interrupted -> "timed-out"
-           in
-           Finished
-             {
-               status;
-               json =
-                 result_json job ~status ~attempts ~result
-                   ~restart_statuses:[] ~degraded:0;
-             })
+      (* Opportunistic resume: a stale or foreign checkpoint is warned
+         about and ignored, never poisoning the job; a deadline
+         interrupt flushes a final checkpoint, which the timed-out
+         retry contract relies on. *)
+      let checkpoint =
+        {
+          Engine.path = Spool.checkpoint_path spool name;
+          every = config.checkpoint_every;
+          resume = Engine.Resume_if_exists;
+        }
+      in
+      (* [result_of_outcome] re-evaluates the best solution, so it
+         runs only when a verdict is filed, never on shutdown. *)
+      let interrupted, result =
+        match engine with
+        | Some engine ->
+          let outcome =
+            Engine.run engine
+              (Engine.context ~should_stop:stop ~checkpoint ~app ~platform
+                 ~seed:job.Job.seed ~iterations:job.Job.iters ())
+          in
+          ( outcome.Engine.status = Engine.Interrupted,
+            fun () -> Explorer.result_of_outcome outcome )
+        | None ->
+          let result =
+            Explorer.explore ~checkpoint ~should_stop:stop explorer_config
+              app platform
+          in
+          ( result.Explorer.status = Repro_anneal.Annealer.Interrupted,
+            fun () -> result )
+      in
+      if interrupted && not (deadline_expired ()) then Shutdown
+      else
+        let status = if interrupted then "timed-out" else "complete" in
+        Finished
+          {
+            status;
+            json =
+              result_json job ~status ~attempts ~result:(result ())
+                ~restart_statuses:[] ~degraded:0;
+          }
     end
     else begin
       (* Multi-restart jobs run under the supervised pool: the job

@@ -1,28 +1,29 @@
 let version = 1
 let magic = "REPRO-CKPT"
 
-(* Table-driven CRC-32 (IEEE 802.3 polynomial, reflected). *)
+(* Table-driven CRC-32 (IEEE 802.3 polynomial, reflected).  The table
+   is built eagerly: racing engines checkpoint from several domains at
+   once, and a shared [lazy] forced concurrently raises
+   [CamlinternalLazy.Undefined]. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
   let crc = ref 0xFFFFFFFFl in
   String.iter
     (fun ch ->
       let index =
         Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code ch))) 0xFFl)
       in
-      crc := Int32.logxor table.(index) (Int32.shift_right_logical !crc 8))
+      crc := Int32.logxor crc_table.(index) (Int32.shift_right_logical !crc 8))
     s;
   Int32.logxor !crc 0xFFFFFFFFl
 
@@ -75,3 +76,13 @@ let load path ~kind =
   if k <> kind then
     Error (Printf.sprintf "%s: checkpoint kind %S, expected %S" path k kind)
   else Ok payload
+
+let field tag conv = function
+  | [] -> Error (Printf.sprintf "missing %s line" tag)
+  | line :: rest -> (
+    match String.split_on_char ' ' line with
+    | t :: fields when t = tag ->
+      let values = List.filter_map conv fields in
+      if List.compare_lengths values fields = 0 then Ok (values, rest)
+      else Error (Printf.sprintf "bad %s line" tag)
+    | _ -> Error (Printf.sprintf "expected a %s line" tag))

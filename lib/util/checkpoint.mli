@@ -6,7 +6,7 @@
     {v REPRO-CKPT <version> <kind> <payload-bytes> <crc32-hex> v}
 
     followed by the raw payload.  [kind] tags the producer (for
-    example ["dse-run"] or ["dse-sweep"]) so a checkpoint is never
+    example ["dse-engine"] or ["dse-sweep"]) so a checkpoint is never
     resumed by the wrong tool; the CRC and length reject corrupt or
     truncated files, and the version gates future format changes.
     Payload encoding is the producer's business — the conventions used
@@ -35,3 +35,11 @@ val crc32 : string -> int32
 
 val crc32_hex : string -> string
 (** {!crc32} printed as 8 lowercase hex digits. *)
+
+val field :
+  string -> (string -> 'a option) -> string list ->
+  ('a list * string list, string) result
+(** [field tag conv lines] reads the ["<tag> v1 v2 ..."] line at the
+    head of a line-oriented payload: the values converted by [conv]
+    and the remaining lines, or a one-line error when the line is
+    missing, carries another tag, or a value does not convert. *)

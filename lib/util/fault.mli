@@ -12,10 +12,9 @@
     the repairs an [Fsck.run ~repair:true] pass applies, so an armed
     point crashes the auditor {e mid-repair}, the window the chaos
     drill uses to prove fsck is idempotent under its own crashes.
-    Points marked
-    {e transient}
-    fire exactly once and then heal — the hook [Parallel.map_retry]
-    uses to prove bounded-retry recovery.
+    Points marked {e transient} fire exactly once and then heal — the
+    hook [Parallel.map_outcomes ~retries] uses to prove bounded-retry
+    recovery.
 
     When nothing is armed the probes cost a single atomic load, so the
     hooks stay in production code paths permanently.  Plans are armed

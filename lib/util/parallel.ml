@@ -72,24 +72,6 @@ let map ?jobs n f =
       Fault.check Fault.Worker i;
       f i)
 
-let map_retry ?jobs ~retries n f =
-  if retries < 0 then invalid_arg "Parallel.map_retry: negative retries";
-  run ?jobs n (fun i ->
-      (* The fault probe sits inside the retried body, so a transient
-         injected fault is absorbed exactly like a real transient
-         failure of the item itself. *)
-      let rec attempt failures =
-        match
-          Fault.check Fault.Worker i;
-          f i
-        with
-        | value -> value
-        | exception exn when failures < retries ->
-          ignore exn;
-          attempt (failures + 1)
-      in
-      attempt 0)
-
 (* ---- supervised mapping ------------------------------------------ *)
 
 type 'a outcome =
@@ -164,10 +146,3 @@ let map_outcomes ?jobs ?(retries = 0) ?backoff ?timeout ?should_stop n body =
   (* [item] catches everything, so the pool's abort path is never taken:
      one pathological slot cannot cost the others their results. *)
   run ?jobs n item
-
-let map_list ?jobs f items =
-  let arr = Array.of_list items in
-  Array.to_list (map ?jobs (Array.length arr) (fun i -> f arr.(i)))
-
-let map_reduce ?jobs n ~map:f ~reduce ~init =
-  Array.fold_left reduce init (map ?jobs n f)

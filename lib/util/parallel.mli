@@ -24,12 +24,6 @@ val map : ?jobs:int -> int -> (int -> 'a) -> 'a array
     deterministic across jobs counts and schedulings.  Raises
     [Invalid_argument] when [n < 0] or [jobs < 1]. *)
 
-val map_retry : ?jobs:int -> retries:int -> int -> (int -> 'a) -> 'a array
-(** {!map} where each item is retried up to [retries] extra times when
-    it raises, absorbing transient failures (including transient
-    injected faults); a persistent failure still propagates after the
-    last attempt.  Raises [Invalid_argument] when [retries < 0]. *)
-
 type 'a outcome =
   | Done of 'a                (** completed within its budget *)
   | Failed of { error : string; trace : string; attempts : int }
@@ -71,14 +65,3 @@ val map_outcomes :
     Items not yet started when [should_stop] turns true resolve to
     [Skipped].  Raises [Invalid_argument] on negative [retries] or
     [timeout]. *)
-
-val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map} over the elements of a list, preserving order. *)
-
-val map_reduce :
-  ?jobs:int -> int -> map:(int -> 'a) -> reduce:('b -> 'a -> 'b) ->
-  init:'b -> 'b
-(** [map_reduce ~jobs n ~map ~reduce ~init] maps in parallel, then
-    folds the results sequentially in index order — the fold order is
-    deterministic, so non-associative reductions (floating-point sums,
-    first-winner selections) behave exactly as in a sequential run. *)

@@ -1,7 +1,7 @@
 (* Deterministic fault injection: armed faults fire at exactly the
    chosen points, the domain pool survives a worker death (all domains
-   joined, first exception propagated, no deadlock), and map_retry
-   absorbs transient faults. *)
+   joined, first exception propagated, no deadlock), and supervised
+   retries absorb transient faults. *)
 
 module Fault = Repro_util.Fault
 module Parallel = Repro_util.Parallel
@@ -39,19 +39,43 @@ let test_worker_fault_sequential () =
   Alcotest.check_raises "jobs=1 too" (injected "worker" 2) (fun () ->
       ignore (Parallel.map ~jobs:1 8 Fun.id))
 
-let test_map_retry_absorbs_transient () =
+(* The values of a supervised map in which every item completed. *)
+let done_values outcomes =
+  Array.map
+    (fun o ->
+      match o with
+      | Parallel.Done v -> v
+      | _ ->
+        Alcotest.failf "item resolved to %s, not done"
+          (Parallel.outcome_name o))
+    outcomes
+
+let test_retry_absorbs_transient () =
   with_faults @@ fun () ->
   Fault.arm_point ~site:Fault.Worker ~index:3 ~transient:true;
-  let result = Parallel.map_retry ~jobs:4 ~retries:2 16 (fun i -> i + 100) in
+  let result =
+    Parallel.map_outcomes ~jobs:4 ~retries:2 16 (fun i ~stop:_ -> i + 100)
+  in
   Alcotest.(check (array int)) "recovered" (Array.init 16 (fun i -> i + 100))
-    result;
+    (done_values result);
   Alcotest.(check bool) "transient point healed" false (Fault.armed ())
 
-let test_map_retry_exhausts_on_persistent () =
+let test_retry_exhausts_on_persistent () =
   with_faults @@ fun () ->
   Fault.arm_point ~site:Fault.Worker ~index:2 ~transient:false;
-  Alcotest.check_raises "persistent fault wins" (injected "worker" 2)
-    (fun () -> ignore (Parallel.map_retry ~jobs:2 ~retries:3 8 Fun.id))
+  let result = Parallel.map_outcomes ~jobs:2 ~retries:3 8 (fun i ~stop:_ -> i) in
+  Array.iteri
+    (fun i o ->
+      match o with
+      | Parallel.Failed { error; attempts; _ } when i = 2 ->
+        Alcotest.(check string) "persistent fault wins"
+          (Printexc.to_string (injected "worker" 2))
+          error;
+        Alcotest.(check int) "every attempt spent" 4 attempts
+      | Parallel.Done v when i <> 2 -> Alcotest.(check int) "healthy item" i v
+      | o ->
+        Alcotest.failf "item %d resolved to %s" i (Parallel.outcome_name o))
+    result
 
 let test_eval_site_counts_evaluations () =
   with_faults @@ fun () ->
@@ -94,26 +118,26 @@ let test_spec_parsing () =
   | () -> Alcotest.fail "negative index accepted"
   | exception Invalid_argument _ -> ()
 
-let test_map_retry_attempt_count () =
+let test_retry_attempt_count () =
   (* Exhaustion is exact: a persistently failing item runs retries + 1
      times, healthy items exactly once. *)
   let attempts = Array.init 8 (fun _ -> Atomic.make 0) in
-  let body i =
+  let body i ~stop:_ =
     Atomic.incr attempts.(i);
     if i = 2 then failwith "persistent" else i
   in
-  (match Parallel.map_retry ~jobs:2 ~retries:3 8 body with
-   | _ -> Alcotest.fail "persistent failure absorbed"
-   | exception Failure _ -> ());
+  (match (Parallel.map_outcomes ~jobs:2 ~retries:3 8 body).(2) with
+   | Parallel.Failed { attempts = n; _ } ->
+     Alcotest.(check int) "reported attempts" 4 n
+   | o -> Alcotest.failf "persistent failure resolved to %s"
+            (Parallel.outcome_name o));
   Alcotest.(check int) "failing item ran retries+1 times" 4
     (Atomic.get attempts.(2));
   Array.iteri
     (fun i a ->
       if i <> 2 then
-        Alcotest.(check bool)
-          (Printf.sprintf "item %d ran at most once" i)
-          true
-          (Atomic.get a <= 1))
+        Alcotest.(check int) (Printf.sprintf "item %d ran once" i) 1
+          (Atomic.get a))
     attempts
 
 let test_retries_do_not_perturb_rng_streams () =
@@ -128,11 +152,13 @@ let test_retries_do_not_perturb_rng_streams () =
   Fault.disarm ();
   let clean = Parallel.map ~jobs:4 32 body in
   Fault.arm_point ~site:Fault.Worker ~index:3 ~transient:true;
-  let retried = Parallel.map_retry ~jobs:4 ~retries:2 32 body in
-  Alcotest.(check bool) "map_retry bit-identical" true (clean = retried);
-  (* Same contract under the supervised pool with backoff pacing: the
-     jitter draws come from a separate per-index stream, never from the
-     body's. *)
+  let retried =
+    Parallel.map_outcomes ~jobs:4 ~retries:2 32 (fun i ~stop:_ -> body i)
+  in
+  Alcotest.(check bool) "retried map bit-identical" true
+    (clean = done_values retried);
+  (* Same contract with backoff pacing: the jitter draws come from a
+     separate per-index stream, never from the body's. *)
   Fault.arm_point ~site:Fault.Worker ~index:7 ~transient:true;
   let policy =
     { Repro_util.Backoff.base = 1e-6; factor = 2.0; max_delay = 1e-5;
@@ -142,15 +168,8 @@ let test_retries_do_not_perturb_rng_streams () =
     Parallel.map_outcomes ~jobs:4 ~retries:2 ~backoff:policy 32
       (fun i ~stop:_ -> body i)
   in
-  let values =
-    Array.map
-      (fun o ->
-        match Parallel.outcome_value o with
-        | Some v -> v
-        | None -> Alcotest.fail "supervised run lost an item")
-      supervised
-  in
-  Alcotest.(check bool) "map_outcomes bit-identical" true (clean = values)
+  Alcotest.(check bool) "backoff map bit-identical" true
+    (clean = done_values supervised)
 
 let test_spec_error_fixtures () =
   (* Malformed $REPRO_FAULTS entries produce one-line messages naming
@@ -208,12 +227,12 @@ let suite =
       test_worker_fault_propagates_pool_survives;
     Alcotest.test_case "worker fault at jobs=1" `Quick
       test_worker_fault_sequential;
-    Alcotest.test_case "map_retry absorbs a transient fault" `Quick
-      test_map_retry_absorbs_transient;
-    Alcotest.test_case "map_retry exhausts on persistent fault" `Quick
-      test_map_retry_exhausts_on_persistent;
-    Alcotest.test_case "map_retry attempt count is exact" `Quick
-      test_map_retry_attempt_count;
+    Alcotest.test_case "retry absorbs a transient fault" `Quick
+      test_retry_absorbs_transient;
+    Alcotest.test_case "retry exhausts on persistent fault" `Quick
+      test_retry_exhausts_on_persistent;
+    Alcotest.test_case "retry attempt count is exact" `Quick
+      test_retry_attempt_count;
     Alcotest.test_case "retries never perturb rng streams" `Quick
       test_retries_do_not_perturb_rng_streams;
     Alcotest.test_case "spec error fixtures" `Quick test_spec_error_fixtures;

@@ -32,14 +32,6 @@ let test_per_index_rng () =
   let parallel = Parallel.map ~jobs:4 64 f in
   Alcotest.(check (array (float 0.0))) "identical streams" sequential parallel
 
-let test_map_list () =
-  Alcotest.(check (list int)) "ordered" [ 2; 3; 4; 5 ]
-    (Parallel.map_list ~jobs:3 (fun x -> x + 1) [ 1; 2; 3; 4 ])
-
-let test_map_reduce () =
-  Alcotest.(check int) "sum 0..49" 1225
-    (Parallel.map_reduce ~jobs:4 50 ~map:Fun.id ~reduce:( + ) ~init:0)
-
 let test_exception_propagates () =
   Alcotest.check_raises "worker failure resurfaces" (Failure "boom")
     (fun () ->
@@ -196,8 +188,6 @@ let suite =
       test_map_matches_sequential;
     Alcotest.test_case "map on empty range" `Quick test_map_empty;
     Alcotest.test_case "per-index rng streams" `Quick test_per_index_rng;
-    Alcotest.test_case "map_list ordered" `Quick test_map_list;
-    Alcotest.test_case "map_reduce" `Quick test_map_reduce;
     Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
     Alcotest.test_case "invalid jobs rejected" `Quick test_invalid_jobs;
     Alcotest.test_case "lowest-index failure wins" `Quick

@@ -3,11 +3,14 @@
    to the run that was never interrupted. *)
 
 module Md = Repro_workloads.Motion_detection
+module Engine = Repro_dse.Engine
 module Explorer = Repro_dse.Explorer
 module Solution = Repro_dse.Solution
 module Annealer = Repro_anneal.Annealer
 module Interrupt = Repro_util.Interrupt
 module Atomic_io = Repro_util.Atomic_io
+module Checkpoint = Repro_util.Checkpoint
+module Log = Repro_util.Log
 
 let with_temp f =
   let path = Filename.temp_file "repro_resume" ".ckpt" in
@@ -27,6 +30,19 @@ let config ~seed =
 
 let solution_text s = Format.asprintf "%a" Solution.pp s
 
+let ckpt ?(every = 500) path resume = { Engine.path; every; resume }
+
+(* A required resume that must fail: the diagnostic is one line. *)
+let required_fails what cfg app platform path =
+  match
+    Explorer.explore ~checkpoint:(ckpt path Engine.Resume_required) cfg app
+      platform
+  with
+  | _ -> Alcotest.failf "%s accepted" what
+  | exception Failure msg ->
+    Alcotest.(check bool) (what ^ ": one-line error") false
+      (String.contains msg '\n')
+
 let check_same_outcome label (full : Explorer.result)
     (resumed : Explorer.result) =
   Alcotest.(check (float 0.0)) (label ^ ": best cost") full.Explorer.best_cost
@@ -39,7 +55,9 @@ let check_same_outcome label (full : Explorer.result)
   Alcotest.(check int) (label ^ ": accepted") full.Explorer.accepted
     resumed.Explorer.accepted;
   Alcotest.(check int) (label ^ ": infeasible") full.Explorer.infeasible
-    resumed.Explorer.infeasible
+    resumed.Explorer.infeasible;
+  Alcotest.(check (float 0.0)) (label ^ ": initial cost")
+    full.Explorer.initial_cost resumed.Explorer.initial_cost
 
 let test_interrupt_then_resume () =
   with_temp @@ fun path ->
@@ -54,7 +72,7 @@ let test_interrupt_then_resume () =
   let polls = ref 0 in
   let interrupted =
     Explorer.explore
-      ~checkpoint:{ Explorer.path; every = 10_000 }
+      ~checkpoint:(ckpt ~every:10_000 path Engine.Resume_never)
       ~should_stop:(fun () -> incr polls; !polls > 700)
       cfg app platform
   in
@@ -64,12 +82,11 @@ let test_interrupt_then_resume () =
     (interrupted.Explorer.iterations_run < full.Explorer.iterations_run);
   Alcotest.(check bool) "checkpoint flushed" true (Sys.file_exists path);
   (* Resume from the flushed checkpoint and finish. *)
-  let snapshot =
-    match Explorer.load_snapshot cfg app platform path with
-    | Ok snapshot -> snapshot
-    | Error msg -> Alcotest.fail msg
+  let resumed =
+    Explorer.explore
+      ~checkpoint:(ckpt ~every:10_000 path Engine.Resume_required)
+      cfg app platform
   in
-  let resumed = Explorer.explore ~resume:snapshot cfg app platform in
   Alcotest.(check string) "resumed run completes" "complete"
     (Annealer.status_name resumed.Explorer.status);
   check_same_outcome "interrupt+resume" full resumed
@@ -83,16 +100,16 @@ let test_periodic_checkpoint_resume () =
   (* Same run with a periodic sink: the file ends up holding the last
      periodic snapshot, and the checkpointed run itself is unperturbed. *)
   let checkpointed =
-    Explorer.explore ~checkpoint:{ Explorer.path; every = 400 } cfg app
-      platform
+    Explorer.explore
+      ~checkpoint:(ckpt ~every:400 path Engine.Resume_never)
+      cfg app platform
   in
   check_same_outcome "sink does not perturb" full checkpointed;
-  let snapshot =
-    match Explorer.load_snapshot cfg app platform path with
-    | Ok snapshot -> snapshot
-    | Error msg -> Alcotest.fail msg
+  let resumed =
+    Explorer.explore
+      ~checkpoint:(ckpt ~every:400 path Engine.Resume_required)
+      cfg app platform
   in
-  let resumed = Explorer.explore ~resume:snapshot cfg app platform in
   check_same_outcome "periodic resume" full resumed
 
 let test_fingerprint_mismatch () =
@@ -101,16 +118,23 @@ let test_fingerprint_mismatch () =
   let app = Md.app () in
   let platform = Md.platform ~n_clb:2000 () in
   ignore
-    (Explorer.explore ~checkpoint:{ Explorer.path; every = 500 } cfg app
+    (Explorer.explore ~checkpoint:(ckpt path Engine.Resume_never) cfg app
        platform);
-  (match Explorer.load_snapshot (config ~seed:4) app platform path with
-   | Ok _ -> Alcotest.fail "wrong seed accepted"
-   | Error _ -> ());
-  match
-    Explorer.load_snapshot cfg app (Md.platform ~n_clb:999 ()) path
-  with
-  | Ok _ -> Alcotest.fail "wrong platform accepted"
-  | Error _ -> ()
+  required_fails "wrong seed" (config ~seed:4) app platform path;
+  required_fails "wrong platform" cfg app (Md.platform ~n_clb:999 ()) path
+
+let test_objective_mismatch () =
+  (* A serialized-bus checkpoint must not resume under the makespan
+     objective: the two cost scales would mix in one run. *)
+  with_temp @@ fun path ->
+  let cfg = config ~seed:3 in
+  let app = Md.app () in
+  let platform = Md.platform ~n_clb:2000 () in
+  ignore
+    (Explorer.explore ~checkpoint:(ckpt path Engine.Resume_never)
+       { cfg with Explorer.objective = Explorer.Makespan_serialized }
+       app platform);
+  required_fails "wrong objective" cfg app platform path
 
 let test_corrupt_checkpoint_rejected () =
   with_temp @@ fun path ->
@@ -118,7 +142,7 @@ let test_corrupt_checkpoint_rejected () =
   let app = Md.app () in
   let platform = Md.platform ~n_clb:2000 () in
   ignore
-    (Explorer.explore ~checkpoint:{ Explorer.path; every = 500 } cfg app
+    (Explorer.explore ~checkpoint:(ckpt path Engine.Resume_never) cfg app
        platform);
   let contents =
     match Atomic_io.read_file path with
@@ -129,10 +153,45 @@ let test_corrupt_checkpoint_rejected () =
   let i = String.length contents / 2 in
   Bytes.set mangled i (Char.chr (Char.code (Bytes.get mangled i) lxor 1));
   Atomic_io.write_string path (Bytes.to_string mangled);
-  match Explorer.load_snapshot cfg app platform path with
-  | Ok _ -> Alcotest.fail "corrupt checkpoint accepted"
-  | Error msg ->
-    Alcotest.(check bool) "one-line error" false (String.contains msg '\n')
+  required_fails "corrupt checkpoint" cfg app platform path
+
+let test_legacy_kind () =
+  (* A "dse-run"-kind file (the annealer's former snapshot format, as
+     an old spool may still hold) does not resume: a required resume
+     fails with one line, an opportunistic one warns and starts fresh —
+     bit-identical to a run that never saw the file. *)
+  with_temp @@ fun path ->
+  let cfg = config ~seed:9 in
+  let app = Md.app () in
+  let platform = Md.platform ~n_clb:2000 () in
+  Checkpoint.save path ~kind:"dse-run" "fingerprint 0\n";
+  required_fails "dse-run kind" cfg app platform path;
+  let warnings = Filename.temp_file "repro_resume" ".log" in
+  let level = List.find Log.enabled Log.[ Debug; Info; Warn; Error ] in
+  let fresh =
+    Fun.protect
+      ~finally:(fun () ->
+        Log.set_sink None;
+        Log.set_level level)
+      (fun () ->
+        Log.set_level Log.Warn;
+        Log.set_sink (Some warnings);
+        Explorer.explore ~checkpoint:(ckpt path Engine.Resume_if_exists) cfg
+          app platform)
+  in
+  let log = In_channel.with_open_bin warnings In_channel.input_all in
+  Sys.remove warnings;
+  let mentions needle =
+    let n = String.length needle in
+    let rec scan i =
+      i + n <= String.length log
+      && (String.sub log i n = needle || scan (i + 1))
+    in
+    scan 0
+  in
+  Alcotest.(check bool) "warned about the unusable file" true
+    (mentions "ignoring unusable checkpoint");
+  check_same_outcome "fresh start" (Explorer.explore cfg app platform) fresh
 
 let test_interrupt_request_flag () =
   (* The programmatic interruption path used by the CLIs: a pending
@@ -158,8 +217,11 @@ let suite =
       test_periodic_checkpoint_resume;
     Alcotest.test_case "fingerprint mismatch rejected" `Quick
       test_fingerprint_mismatch;
+    Alcotest.test_case "objective mismatch rejected" `Quick
+      test_objective_mismatch;
     Alcotest.test_case "corrupt checkpoint rejected" `Quick
       test_corrupt_checkpoint_rejected;
+    Alcotest.test_case "dse-run kind is not resumed" `Quick test_legacy_kind;
     Alcotest.test_case "interrupt request flag" `Quick
       test_interrupt_request_flag;
   ]
