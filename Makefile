@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-full examples doc clean faultcheck chaoscheck
+.PHONY: all build test bench bench-smoke bench-full examples doc clean faultcheck chaoscheck ab
 
 all: build
 
@@ -18,6 +18,16 @@ bench-smoke:
 	BENCH_COMPARE_ITERS=2000 BENCH_GA_GENERATIONS=5 BENCH_GA_POPULATION=30 \
 	BENCH_RANDOM_SAMPLES=500 BENCH_HILL_MOVES=1000 BENCH_TABU_ITERS=200 \
 	BENCH_RESTARTS_ITERS=1500 BENCH_MICRO_MOVES=2000 dune exec bench/main.exe
+
+# A/B the DSE benchmark: PAIRS alternating runs of the parent commit
+# (HEAD^) and of this checkout on one workload, each for BENCHMARK.json's
+# run_seconds, then each end-to-end metric's median, quartiles and pair
+# wins, and each side's failed operations.
+WORKLOAD ?= g512_sa
+PAIRS ?= 10
+SEED ?= 1
+ab:
+	python3 bench/ab.py --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
 
 # Paper-scale Fig. 3 protocol (100 runs per device size)
 bench-full:

@@ -51,11 +51,18 @@ let validated solution undo =
     undo ();
     None
 
+(* A uniformly drawn hardware task: the single draw
+   [Rng.choice_list rng (Solution.hw_tasks solution)] makes, without
+   building the list. *)
+let draw_hw_task rng solution =
+  match Solution.hw_task_count solution with
+  | 0 -> None
+  | count -> Some (Solution.nth_hw_task solution (Rng.int rng count))
+
 let impl_move rng solution =
-  match Solution.hw_tasks solution with
-  | [] -> None
-  | hw ->
-    let v = Rng.choice_list rng hw in
+  match draw_hw_task rng solution with
+  | None -> None
+  | Some v ->
     let task = App.task (Solution.app solution) v in
     let count = Task.impl_count task in
     if count < 2 then None
@@ -74,7 +81,7 @@ let new_context_move rng solution =
   (* A task alone in its own context gains nothing from a fresh one. *)
   let alone_in_context =
     match Solution.binding solution v with
-    | Searchgraph.Hw j -> List.length (List.nth (Solution.contexts solution) j) = 1
+    | Searchgraph.Hw j -> Solution.context_size solution j = 1
     | Searchgraph.Sw | Searchgraph.On_asic _ -> false
   in
   if alone_in_context then None
@@ -217,10 +224,9 @@ let propose_kind rng config solution (kind : Solution.move_kind) =
         let vd = order.(Rng.int rng (Array.length order)) in
         if vs = vd then None else reorder_move solution vs vd)
   | Solution.Ctx_migrate -> (
-    match Solution.hw_tasks solution with
-    | [] -> None
-    | hw ->
-      let vd = Rng.choice_list rng hw in
+    match draw_hw_task rng solution with
+    | None -> None
+    | Some vd ->
       let vs = Rng.int rng (Solution.size solution) in
       if vs = vd then None
       else

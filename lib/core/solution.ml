@@ -106,6 +106,69 @@ type op =
                                       and whether it was fresh *)
   | Touch of int list              (* nodes whose edge weights changed *)
 
+(* Context ids and slots key these tables: hashing and comparing them
+   as ints keeps the polymorphic [compare] off the move path. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+(* A growable int buffer, reused across moves: the packed before- and
+   after-pairs of a structural move are written here, not consed. *)
+type ibuf = { mutable data : int array; mutable len : int }
+
+let ibuf_create () = { data = Array.make 64 0; len = 0 }
+
+let ibuf_push b x =
+  if b.len = Array.length b.data then begin
+    let grown = Array.make (2 * b.len) 0 in
+    Array.blit b.data 0 grown 0 b.len;
+    b.data <- grown
+  end;
+  b.data.(b.len) <- x;
+  b.len <- b.len + 1
+
+(* In-place heapsort of the buffer's live prefix: O(k log k) and
+   allocation-free (the stdlib sorts whole arrays only). *)
+let ibuf_sort b =
+  let a = b.data in
+  let rec sift i len =
+    let l = (2 * i) + 1 in
+    if l < len then begin
+      let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
+      if a.(c) > a.(i) then begin
+        let x = a.(i) in
+        a.(i) <- a.(c);
+        a.(c) <- x;
+        sift c len
+      end
+    end
+  in
+  for i = (b.len / 2) - 1 downto 0 do
+    sift i b.len
+  done;
+  for last = b.len - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift 0 last
+  done
+
+(* [f x] for every element of sorted [a] not cancelled by an equal
+   element of sorted [b], in order: the [a \ b] of two sorted multisets
+   by one merge walk. *)
+let ibuf_iter_diff f a b =
+  let j = ref 0 in
+  for i = 0 to a.len - 1 do
+    let x = a.data.(i) in
+    while !j < b.len && b.data.(!j) < x do
+      incr j
+    done;
+    if !j < b.len && b.data.(!j) = x then incr j else f x
+  done
+
 (* Incremental-evaluation state: a live search graph over n task nodes
    plus [cap = n] configuration-node *slots*, its longest-path solution
    (dynamic: edges are edited in place), and the bookkeeping that turns
@@ -116,7 +179,8 @@ type op =
 
    Each mutator emits its own exact edge delta from the pair emitters
    of only the chains, contexts and context adjacencies it touched
-   (see [native_resync]); the boundary-traffic total [comm] is a
+   (see [native_resync]), packed into the reusable [before]/[after]
+   buffers; the boundary-traffic total [comm] is a
    pairwise sum tree whose terms are flipped for the edges incident to
    rebound tasks ([incident] indexes [edges] per task).  [pairs] is a
    verification artifact only: in [REPRO_CHECK_DELTAS] paranoid mode
@@ -132,7 +196,7 @@ type incr = {
   sg : Graph.t;
   lp : Longest_path.t;
   weights : float array;
-  slot_of : (int, int) Hashtbl.t;
+  slot_of : int Int_tbl.t;
   mutable free_slots : int list;
   mutable pairs : int list;
   mutable pairs_fresh : bool;
@@ -143,8 +207,12 @@ type incr = {
   in_edge : (int * int) list array;
   (* task -> (src, edge index) of its application in-edges: the
      longest-path edge-weight lookup *)
-  scratch_tbl : (int, int list) Hashtbl.t;
+  scratch_tbl : int list Int_tbl.t;
   (* reused by every context-membership diff — never live across moves *)
+  before : ibuf;                   (* packed pairs a move's footprint *)
+  after : ibuf;                    (* owned before and after it *)
+  around : int array;              (* task -> epoch of the last move that *)
+  mutable around_epoch : int;      (* put it in [sw_around] *)
   mutable log : op array;
   mutable log_len : int;
   mutable epoch : int;             (* bumped when the log is truncated *)
@@ -288,13 +356,13 @@ let rollback inc ~mark =
       (* The term doubles as the longest-path weight of this edge. *)
       mark_dirty inc inc.edges.(i).App.dst
     | Slot_alloc (cid, slot) ->
-      Hashtbl.remove inc.slot_of cid;
+      Int_tbl.remove inc.slot_of cid;
       inc.free_slots <- slot :: inc.free_slots
     | Slot_free (cid, slot) ->
       (match inc.free_slots with
        | s :: rest when s = slot -> inc.free_slots <- rest
        | _ -> assert false);
-      Hashtbl.replace inc.slot_of cid slot
+      Int_tbl.replace inc.slot_of cid slot
     | Pairs (old, fresh) ->
       inc.pairs <- old;
       inc.pairs_fresh <- fresh
@@ -367,6 +435,26 @@ let n_contexts t = List.length t.ctxs
 let hw_tasks t =
   List.filter (fun v -> t.assign.(v) >= 0) (List.init (size t) Fun.id)
 
+let hw_task_count t =
+  let count = ref 0 in
+  Array.iter (fun a -> if a >= 0 then incr count) t.assign;
+  !count
+
+let nth_hw_task t k =
+  let rec scan v k =
+    if v >= size t then invalid_arg "Solution.nth_hw_task: index out of range"
+    else if t.assign.(v) < 0 then scan (v + 1) k
+    else if k = 0 then v
+    else scan (v + 1) (k - 1)
+  in
+  if k < 0 then invalid_arg "Solution.nth_hw_task: index out of range";
+  scan 0 k
+
+let context_size t j =
+  match List.nth_opt t.ctxs j with
+  | Some (_, members) -> List.length members
+  | None -> invalid_arg "Solution.context_size: no such context"
+
 let task_clbs t v = (Task.impl (App.task t.app v) t.impl.(v)).Task.clbs
 
 let members_clbs t members =
@@ -437,26 +525,24 @@ let edge_weight_over ~n ~in_edge comm =
 
 (* The canonical dynamic pair list (Esw ∪ Ehw) the live graph must
    realize for the current solution state, with configuration nodes
-   addressed through the slot allocation.  Each pair is packed into a
-   single int (u·2n+v) and the list sorted with the int comparator:
-   this runs once per structural move, and a polymorphic sort over
-   boxed tuples would cost as much as the full rebuild it replaces. *)
-let pack_pairs t pairs =
+   numbered by [cfg] (positional index → node id), each pair packed
+   into a single int (u·2n+v) and the list sorted.  Only the
+   [REPRO_CHECK_DELTAS] oracle builds it. *)
+let canonical_pairs t ~cfg =
   let stride = 2 * size t in
-  List.sort Int.compare (List.map (fun (u, v) -> (u * stride) + v) pairs)
+  Searchgraph.sequencing_pairs ~cfg ~sw_order:t.sw.(0)
+    ~extra_sw_orders:(List.tl (Array.to_list t.sw))
+    ~contexts:(List.map snd t.ctxs)
+  |> List.map (fun (u, v) -> (u * stride) + v)
+  |> List.sort Int.compare
 
 let slot_pairs t inc =
   let n = size t in
   let slots =
     Array.of_list
-      (List.map (fun (cid, _) -> n + Hashtbl.find inc.slot_of cid) t.ctxs)
+      (List.map (fun (cid, _) -> n + Int_tbl.find inc.slot_of cid) t.ctxs)
   in
-  Searchgraph.sequencing_pairs
-    ~cfg:(fun j -> slots.(j))
-    ~sw_order:t.sw.(0)
-    ~extra_sw_orders:(List.tl (Array.to_list t.sw))
-    ~contexts:(List.map snd t.ctxs)
-  |> pack_pairs t
+  canonical_pairs t ~cfg:(fun j -> slots.(j))
 
 (* [a \ b] for sorted int lists. *)
 let rec diff_sorted a b =
@@ -472,29 +558,21 @@ let rec diff_sorted a b =
    once, running the intra emitter for every context in the region and
    the GTLP emitter for every adjacency with an endpoint in it.
    Contexts outside the region contribute only an O(1) id test —
-   their member lists are never traversed. *)
-let capture_ctx_pairs inc n in_region ctxs =
-  let slot cid = n + Hashtbl.find inc.slot_of cid in
-  let rec walk prev acc = function
-    | [] -> acc
+   their member lists are never traversed.  Context ids are >= 0, so
+   [-1] stands for "no previous context". *)
+let capture_ctx_pairs inc n in_region emit ctxs =
+  let slot cid = n + Int_tbl.find inc.slot_of cid in
+  let rec walk prev_id prev_members = function
+    | [] -> ()
     | (cid, members) :: rest ->
-      let acc =
-        match prev with
-        | Some (prev_id, prev_members)
-          when in_region prev_id || in_region cid ->
-          Searchgraph.gtlp_pairs ~prev_cfg:(slot prev_id) ~prev_members
-            ~cfg:(slot cid)
-          @ acc
-        | Some _ | None -> acc
-      in
-      let acc =
-        if in_region cid then
-          Searchgraph.ehw_intra_pairs ~cfg:(slot cid) members @ acc
-        else acc
-      in
-      walk (Some (cid, members)) acc rest
+      if prev_id >= 0 && (in_region prev_id || in_region cid) then
+        Searchgraph.gtlp_pairs ~prev_cfg:(slot prev_id) ~prev_members
+          ~cfg:(slot cid) emit;
+      if in_region cid then
+        Searchgraph.ehw_intra_pairs ~cfg:(slot cid) emit members;
+      walk cid members rest
   in
-  walk None [] ctxs
+  walk (-1) [] ctxs
 
 (* Consecutive (prev, next) neighbors of the selected tasks in a
    software order — the tasks whose Esw adjacencies a removal or an
@@ -504,7 +582,9 @@ let chain_neighbors order targets =
     | [] -> acc
     | v :: rest ->
       let acc =
-        if List.mem v targets then begin
+        (* [memq] on ints is int equality, without the C [compare]
+           the polymorphic [List.mem] pays per element. *)
+        if List.memq v targets then begin
           let acc = match prev with Some p -> p :: acc | None -> acc in
           match rest with nx :: _ -> nx :: acc | [] -> acc
         end
@@ -553,11 +633,13 @@ let sym_diff_pairs a b =
    whose member list changed, contexts created or removed, and both
    endpoints of every context adjacency that appeared or disappeared.
    The per-class emitters ([Searchgraph.chain_pairs_near],
-   [ehw_intra_pairs], [gtlp_pairs]) then produce the pairs owned by
-   the region before and after the mutation; their sorted-packed diff
-   is the move's exact edge delta, because pairs owned by emitters
-   outside the region are untouched by construction (the ownership
-   contract) and pairs the region captures on both sides cancel.
+   [ehw_intra_pairs], [gtlp_pairs]) then write the pairs owned by the
+   region before and after the mutation, packed (u·2n+v), into the
+   [before] and [after] buffers.  Sorted in place, their merge-walk
+   difference is the move's exact edge delta, because pairs owned by
+   emitters outside the region are untouched by construction (the
+   ownership contract) and pairs the region captures on both sides
+   cancel.
 
    The delta is applied as edge deletions then insertions in packed
    order — the same canonical order the regenerate-and-diff path
@@ -606,22 +688,22 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
            context as created, membership-changed, or intact — what
            stays unclaimed in the table was freed. *)
         let old_tbl = inc.scratch_tbl in
-        Hashtbl.reset old_tbl;
-        List.iter (fun (cid, ms) -> Hashtbl.replace old_tbl cid ms) old_ctxs;
+        Int_tbl.reset old_tbl;
+        List.iter (fun (cid, ms) -> Int_tbl.replace old_tbl cid ms) old_ctxs;
         let created = ref [] and touched = ref [] in
         List.iter
           (fun (cid, ms) ->
-            match Hashtbl.find_opt old_tbl cid with
+            match Int_tbl.find_opt old_tbl cid with
             | None ->
               created := (cid, ms) :: !created;
               touched := (cid, ms) :: !touched
             | Some old_ms ->
-              Hashtbl.remove old_tbl cid;
-              if not (old_ms == ms) && old_ms <> ms then
+              Int_tbl.remove old_tbl cid;
+              if not (old_ms == ms || List.equal Int.equal old_ms ms) then
                 touched := (cid, ms) :: !touched)
           t.ctxs;
         let freed =
-          List.filter (fun (cid, _) -> Hashtbl.mem old_tbl cid) old_ctxs
+          List.filter (fun (cid, _) -> Int_tbl.mem old_tbl cid) old_ctxs
         in
         (freed, List.rev !created, List.rev !touched)
       end
@@ -635,28 +717,36 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
             (sym_diff_pairs (ctx_adjacencies old_ctxs)
                (ctx_adjacencies t.ctxs))
         in
-        List.sort_uniq Int.compare
-          (List.map fst touched_ctxs
-           @ List.map fst freed
-           @ adj_endpoints)
+        (* A membership set only: duplicates are harmless. *)
+        List.map fst touched_ctxs @ List.map fst freed @ adj_endpoints
     in
-    let in_region cid = List.mem cid region in
-    let around v = List.mem v sw_around in
+    let in_region cid = List.memq cid region in
+    (* The chain walks test every task of a changed order: mark the
+       footprint once so each test is one array read. *)
+    inc.around_epoch <- inc.around_epoch + 1;
+    let epoch = inc.around_epoch in
+    List.iter (fun v -> inc.around.(v) <- epoch) sw_around;
+    let around v = inc.around.(v) = epoch in
+    let stride = 2 * n in
+    let capture buf sw ctxs =
+      let emit u v = ibuf_push buf ((u * stride) + v) in
+      buf.len <- 0;
+      List.iter (fun p -> Searchgraph.chain_pairs_near around emit sw.(p))
+        changed_procs;
+      (match region with
+       | [] -> ()
+       | _ :: _ -> capture_ctx_pairs inc n in_region emit ctxs);
+      ibuf_sort buf
+    in
     (* 2. Before-pairs, from the snapshots (slots still pre-move). *)
-    let before_pairs =
-      List.concat_map
-        (fun p -> Searchgraph.chain_pairs_near around old_sw.(p))
-        changed_procs
-      @ (if region = [] then []
-         else capture_ctx_pairs inc n in_region old_ctxs)
-    in
+    capture inc.before old_sw old_ctxs;
     (* 3. Slots follow the move exactly: removed contexts release
        theirs, created contexts claim from the free list. *)
     List.iter
       (fun (cid, _) ->
-        let slot = Hashtbl.find inc.slot_of cid in
+        let slot = Int_tbl.find inc.slot_of cid in
         log_push inc (Slot_free (cid, slot));
-        Hashtbl.remove inc.slot_of cid;
+        Int_tbl.remove inc.slot_of cid;
         inc.free_slots <- slot :: inc.free_slots;
         set_weight inc (n + slot) 0.0)
       freed;
@@ -667,22 +757,14 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
         | slot :: rest ->
           inc.free_slots <- rest;
           log_push inc (Slot_alloc (cid, slot));
-          Hashtbl.replace inc.slot_of cid slot)
+          Int_tbl.replace inc.slot_of cid slot)
       created;
-    (* 4. After-pairs from the mutated state; the sorted diff is the
-       move's exact edge delta. *)
-    let after_pairs =
-      List.concat_map
-        (fun p -> Searchgraph.chain_pairs_near around t.sw.(p))
-        changed_procs
-      @ (if region = [] then []
-         else capture_ctx_pairs inc n in_region t.ctxs)
-    in
-    let before_packed = pack_pairs t before_pairs in
-    let after_packed = pack_pairs t after_pairs in
-    let removals = diff_sorted before_packed after_packed in
-    let additions = diff_sorted after_packed before_packed in
-    let emitted = List.length before_pairs + List.length after_pairs in
+    (* 4. After-pairs from the mutated state; the merge-walk difference
+       of the two sorted buffers is the move's exact edge delta. *)
+    capture inc.after t.sw t.ctxs;
+    let removals f = ibuf_iter_diff f inc.before inc.after in
+    let additions f = ibuf_iter_diff f inc.after inc.before in
+    let emitted = inc.before.len + inc.after.len in
     t.stats.pairs_emitted <- t.stats.pairs_emitted + emitted;
     ks.k_pairs_emitted <- ks.k_pairs_emitted + emitted;
     (* Paranoid mode: the regenerate-and-diff reference must agree with
@@ -694,15 +776,21 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
       ks.k_pair_regens <- ks.k_pair_regens + 1;
       let fresh = slot_pairs t inc in
       if inc.pairs_fresh then begin
+        let listed iter =
+          let acc = ref [] in
+          iter (fun p -> acc := p :: !acc);
+          List.rev !acc
+        in
+        let got_rm = listed removals and got_add = listed additions in
         let want_rm = diff_sorted inc.pairs fresh in
         let want_add = diff_sorted fresh inc.pairs in
-        if removals <> want_rm || additions <> want_add then
+        if got_rm <> want_rm || got_add <> want_add then
           failwith
             (Printf.sprintf
                "Solution: %s: emitted deltas diverge from \
                 regenerate-and-diff (emitted %d-/%d+, reference %d-/%d+)"
-               (move_kind_label kind) (List.length removals)
-               (List.length additions) (List.length want_rm)
+               (move_kind_label kind) (List.length got_rm)
+               (List.length got_add) (List.length want_rm)
                (List.length want_add))
       end;
       log_push inc (Pairs (inc.pairs, inc.pairs_fresh));
@@ -711,33 +799,28 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
     end
     else inc.pairs_fresh <- false;
     (* 5. Apply the delta: deletions then insertions, packed order. *)
-    let stride = 2 * n in
     let edited = ref 0 in
-    List.iter
-      (fun p ->
-        let u = p / stride and v = p mod stride in
-        (* An Esw chain pair can coincide with a static application
-           edge; the shared arc must survive its removal. *)
-        if not (u < n && v < n && Graph.has_edge appg u v) then begin
-          Longest_path.delete_edge inc.lp u v;
-          log_push inc (E_del (u, v));
-          mark_dirty inc v;
-          incr edited
-        end)
-      removals;
+    removals (fun p ->
+      let u = p / stride and v = p mod stride in
+      (* An Esw chain pair can coincide with a static application
+         edge; the shared arc must survive its removal. *)
+      if not (u < n && v < n && Graph.has_edge appg u v) then begin
+        Longest_path.delete_edge inc.lp u v;
+        log_push inc (E_del (u, v));
+        mark_dirty inc v;
+        incr edited
+      end);
     let cyclic = ref false in
     (try
-       List.iter
-         (fun p ->
-           let u = p / stride and v = p mod stride in
-           if not (Graph.has_edge inc.sg u v) then
-             if Longest_path.insert_edge inc.lp u v then begin
-               log_push inc (E_add (u, v));
-               mark_dirty inc v;
-               incr edited
-             end
-             else raise Exit)
-         additions
+       additions (fun p ->
+         let u = p / stride and v = p mod stride in
+         if not (Graph.has_edge inc.sg u v) then
+           if Longest_path.insert_edge inc.lp u v then begin
+             log_push inc (E_add (u, v));
+             mark_dirty inc v;
+             incr edited
+           end
+           else raise Exit)
      with Exit -> cyclic := true);
     if !cyclic then begin
       (* The new sequencing contradicts the precedences: a fresh build
@@ -762,7 +845,7 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
       List.iter
         (fun (cid, members) ->
           set_weight inc
-            (n + Hashtbl.find inc.slot_of cid)
+            (n + Int_tbl.find inc.slot_of cid)
             (Platform.reconfiguration_time t.platform (members_clbs t members)))
         touched_ctxs;
       (* 7. Boundary traffic: flip the sum-tree terms of the edges
@@ -805,7 +888,7 @@ let eval_from_incr t inc =
   let dynamic_reconfig = ref 0.0 in
   List.iteri
     (fun j (cid, _) ->
-      let s = n + Hashtbl.find inc.slot_of cid in
+      let s = n + Int_tbl.find inc.slot_of cid in
       finish.(n + j) <- lp_finish.(s);
       if j = 0 then initial_reconfig := inc.weights.(s)
       else dynamic_reconfig := !dynamic_reconfig +. inc.weights.(s))
@@ -836,10 +919,10 @@ let evaluate_full t =
     match retired with
     | Some inc when Graph.size inc.sg = total ->
       Graph.clear inc.sg;
-      Hashtbl.reset inc.slot_of;
+      Int_tbl.reset inc.slot_of;
       (inc.sg, inc.weights, inc.slot_of, inc.log, Some inc.lp)
     | Some _ | None ->
-      (Graph.create total, Array.make total 0.0, Hashtbl.create 16, [||], None)
+      (Graph.create total, Array.make total 0.0, Int_tbl.create 16, [||], None)
   in
   (* The edge index and per-task incidence lists are pure functions of
      the application — share them with the retired state instead of
@@ -863,15 +946,13 @@ let evaluate_full t =
   in
   Array.iter (fun { App.src; dst; kbytes = _ } -> Graph.add_edge g src dst)
     edges;
-  let pairs_raw =
-    Searchgraph.sequencing_pairs
-      ~cfg:(fun j -> n + j)
-      ~sw_order:t.sw.(0)
-      ~extra_sw_orders:(List.tl (Array.to_list t.sw))
-      ~contexts:(List.map snd t.ctxs)
-  in
-  List.iter (fun (a, b) -> Graph.add_edge g a b) pairs_raw;
-  List.iteri (fun j (cid, _) -> Hashtbl.replace slot_of cid j) t.ctxs;
+  Searchgraph.iter_sequencing_pairs
+    ~cfg:(fun j -> n + j)
+    ~sw_order:t.sw.(0)
+    ~extra_sw_orders:(List.tl (Array.to_list t.sw))
+    ~contexts:(List.map snd t.ctxs)
+    (Graph.add_edge g);
+  List.iteri (fun j (cid, _) -> Int_tbl.replace slot_of cid j) t.ctxs;
   for v = 0 to n - 1 do
     weights.(v) <- exec_time_of t v
   done;
@@ -904,7 +985,9 @@ let evaluate_full t =
         free_slots = List.init (cap_of t - k) (fun i -> k + i);
         (* The canonical pair cache is a verification artifact: seed it
            only when the paranoid cross-check will read it. *)
-        pairs = (if !check_deltas then pack_pairs t pairs_raw else []);
+        pairs =
+          (if !check_deltas then canonical_pairs t ~cfg:(fun j -> n + j)
+           else []);
         pairs_fresh = !check_deltas;
         comm;
         for_app = t.app;
@@ -914,7 +997,19 @@ let evaluate_full t =
         scratch_tbl =
           (match retired with
            | Some inc -> inc.scratch_tbl
-           | None -> Hashtbl.create 16);
+           | None -> Int_tbl.create 16);
+        before =
+          (match retired with Some inc -> inc.before | None -> ibuf_create ());
+        after =
+          (match retired with Some inc -> inc.after | None -> ibuf_create ());
+        around =
+          (match retired with
+           | Some inc when Array.length inc.around = n -> inc.around
+           | Some _ | None -> Array.make n 0);
+        (* A recycled mark array keeps its epoch, so no stale mark can
+           match a later move's. *)
+        around_epoch =
+          (match retired with Some inc -> inc.around_epoch | None -> 0);
         log;
         log_len = 0;
         epoch = 0;
@@ -982,9 +1077,14 @@ let set_impl t v k =
     | Some inc when inc.valid && not inc.desync ->
       set_weight inc v (exec_time_of t v);
       if t.assign.(v) >= 0 then begin
-        let members = List.assoc t.assign.(v) t.ctxs in
+        let rec members_of cid = function
+          | [] -> assert false (* assign always references a live context *)
+          | (id, members) :: rest ->
+            if id = (cid : int) then members else members_of cid rest
+        in
+        let members = members_of t.assign.(v) t.ctxs in
         set_weight inc
-          (size t + Hashtbl.find inc.slot_of t.assign.(v))
+          (size t + Int_tbl.find inc.slot_of t.assign.(v))
           (Platform.reconfiguration_time t.platform (members_clbs t members))
       end
     | Some inc when inc.desync -> inc.valid <- false
@@ -1047,7 +1147,7 @@ let move_to_sw ?(proc = 0) t ~task ~before =
   (match before with
    | None -> t.sw.(proc) <- t.sw.(proc) @ [ task ]
    | Some anchor ->
-     if not (List.mem anchor t.sw.(proc)) then
+     if not (List.memq anchor t.sw.(proc)) then
        invalid_arg "Solution.move_to_sw: anchor not in that processor's order";
      t.sw.(proc) <- insert_before task anchor t.sw.(proc));
   native_resync t Sw_migrate ~rebound:[ task ] ~sw_around ~old_sw ~old_ctxs
@@ -1474,7 +1574,7 @@ let pp fmt t =
   let eval = evaluate t in
   Format.fprintf fmt "@[<v>solution: %d sw / %d hw tasks, %d context(s)@,"
     (Array.fold_left (fun acc order -> acc + List.length order) 0 t.sw)
-    (List.length (hw_tasks t))
+    (hw_task_count t)
     (n_contexts t);
   (match eval with
    | Some e ->

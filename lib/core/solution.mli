@@ -81,6 +81,18 @@ val contexts : t -> int list list
 
 val n_contexts : t -> int
 val hw_tasks : t -> int list
+
+val hw_task_count : t -> int
+(** [List.length (hw_tasks t)], without building the list. *)
+
+val nth_hw_task : t -> int -> int
+(** [nth_hw_task t k] is [List.nth (hw_tasks t) k], found by scanning
+    the assignment instead of building the list.  Raises
+    [Invalid_argument] when [k] is out of range. *)
+
+val context_size : t -> int -> int
+(** Number of tasks in the context at positional index [j]. *)
+
 val context_clbs : t -> int -> int
 (** CLBs used by the context at positional index [j]. *)
 
@@ -101,9 +113,15 @@ val evaluate : t -> Searchgraph.eval option
     emitters of the chains, contexts and context adjacencies it
     touched ({!Repro_sched.Searchgraph.chain_pairs_near},
     [ehw_intra_pairs], [gtlp_pairs]) — the global canonical pair list
-    is never regenerated on the move path — and the boundary-traffic
-    total is patched by flipping the sum-tree terms of the edges
-    incident to the moved tasks.  Every edit lands in a delta log so
+    is never regenerated on the move path.  The emitters are callback
+    iterators: the pairs the footprint owned before and after the move
+    are packed as ints into two int buffers that the incremental state
+    reuses from move to move, sorted in place, and the delta is applied
+    by a merge walk over the two — deletions, then insertions — so a
+    move allocates no pair tuples or lists and does work in proportion
+    to what it touches.  The boundary-traffic total is patched by
+    flipping the sum-tree terms of the edges incident to the moved
+    tasks.  Every edit lands in a delta log so
     {!save}'s undo closure restores the live graph by replaying
     inverses.  {!replace_platform}, {!decode} and cycle detection fall
     back to a full rebuild that recycles the previous state's storage.

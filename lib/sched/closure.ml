@@ -1,20 +1,16 @@
 open Repro_taskgraph
 module Bitset = Repro_util.Bitset
 
+(* Only the descendant rows are kept: ancestor queries are rare (edge
+   registration, which only tests use), and every solution keeps its
+   application's closure alive, so a second n x n matrix would double
+   the resident footprint for nothing. *)
 type t = {
   size : int;
   reach : Bitset.t array;    (* reach.(u) = strict descendants of u *)
-  preds : Bitset.t array;    (* preds.(v) = strict ancestors of v *)
 }
 
-let of_graph g =
-  let reach = Graph.transitive_closure g in
-  let n = Graph.size g in
-  let preds = Array.init n (fun _ -> Bitset.create n) in
-  Array.iteri
-    (fun u row -> Bitset.iter (fun v -> Bitset.add preds.(v) u) row)
-    reach;
-  { size = n; reach; preds }
+let of_graph g = { size = Graph.size g; reach = Graph.transitive_closure g }
 
 let size t = t.size
 
@@ -28,21 +24,15 @@ let would_close_cycle t u v = u = v || reaches t v u
 let add_edge t u v =
   if would_close_cycle t u v then invalid_arg "Closure.add_edge: closes a cycle";
   (* Every ancestor of u (and u itself) now reaches every descendant of
-     v (and v itself). *)
-  let sources = Bitset.copy t.preds.(u) in
-  Bitset.add sources u;
-  let targets = Bitset.copy t.reach.(v) in
-  Bitset.add targets v;
-  Bitset.iter
-    (fun s ->
-      Bitset.iter
-        (fun d ->
-          if not (Bitset.mem t.reach.(s) d) then begin
-            Bitset.add t.reach.(s) d;
-            Bitset.add t.preds.(d) s
-          end)
-        targets)
-    sources
+     v (and v itself).  The ancestors are the rows holding u; since u is
+     not among v's descendants, growing those rows never changes which
+     of them hold u, so the scan can update in place. *)
+  for s = 0 to t.size - 1 do
+    if s = u || Bitset.mem t.reach.(s) u then begin
+      Bitset.union_into t.reach.(s) t.reach.(v);
+      Bitset.add t.reach.(s) v
+    end
+  done
 
 let descendants t u =
   if u < 0 || u >= t.size then invalid_arg "Closure.descendants";

@@ -24,9 +24,11 @@ val would_close_cycle : t -> int -> int -> bool
     Equivalent to [u = v || reaches t v u].  O(1). *)
 
 val add_edge : t -> int -> int -> unit
-(** Registers a new edge and updates reachability.  Raises
-    [Invalid_argument] if the edge closes a cycle (check with
-    {!would_close_cycle} first). *)
+(** Registers a new edge and updates reachability: every row holding
+    the source (its ancestors, found by scanning the rows — only the
+    descendant rows are stored) gains the target's descendants.
+    O(n²/w) for n nodes and w-bit words.  Raises [Invalid_argument] if
+    the edge closes a cycle (check with {!would_close_cycle} first). *)
 
 val descendants : t -> int -> Repro_util.Bitset.t
 (** Reachability row (do not mutate). *)

@@ -73,19 +73,29 @@ type t = {
   finish : float array;
   queue : heap;           (* refresh worklist scratch; empty between *)
   queued : Bitset.t;      (* calls, so reusable without clearing *)
+  fwd : Bitset.t;         (* [insert_edge] discovery scratch; cleared *)
+  bwd : Bitset.t;         (* before it returns *)
   mutable touched : int;
 }
 
-(* Hand-rolled fold: this is the innermost loop of every refresh and
-   rebuild, and a [fold_left] closure here is one heap allocation per
-   node evaluated. *)
-let rec latest_pred t v acc = function
-  | [] -> acc
-  | u :: rest ->
-    latest_pred t v (Float.max acc (t.finish.(u) +. t.edge_weight u v)) rest
-
-let evaluate_node t v =
-  latest_pred t v 0.0 (Graph.preds t.graph v) +. t.node_weight v
+(* Hand-rolled loop: this is the innermost loop of every refresh and
+   rebuild.  The running maximum lives in a local float ref, which the
+   compiler keeps unboxed — a fold (or a recursive helper) would box
+   the accumulator once per predecessor. *)
+let[@inline] evaluate_node t v =
+  let best = ref 0.0 in
+  let rest = ref (Graph.preds t.graph v) in
+  while
+    match !rest with
+    | [] -> false
+    | u :: tl ->
+      best := Float.max !best (t.finish.(u) +. t.edge_weight u v);
+      rest := tl;
+      true
+  do
+    ()
+  done;
+  !best +. t.node_weight v
 
 let recompute_in_order t order =
   Array.iter (fun v -> t.finish.(v) <- evaluate_node t v) order
@@ -95,17 +105,18 @@ let create ?scratch graph ~node_weight ~edge_weight =
   | None -> None
   | Some order ->
     let n = Graph.size graph in
-    let position, finish, queue, queued =
+    let position, finish, queue, queued, fwd, bwd =
       match scratch with
       | Some s when Array.length s.position = n ->
-        (s.position, s.finish, s.queue, s.queued)
+        (s.position, s.finish, s.queue, s.queued, s.fwd, s.bwd)
       | Some _ | None ->
-        (Array.make n 0, Array.make n 0.0, heap_create (), Bitset.create n)
+        ( Array.make n 0, Array.make n 0.0, heap_create (), Bitset.create n,
+          Bitset.create n, Bitset.create n )
     in
     Array.iteri (fun i v -> position.(v) <- i) order;
     let t =
       { graph; node_weight; edge_weight; position; finish; queue; queued;
-        touched = n }
+        fwd; bwd; touched = n }
     in
     recompute_in_order t order;
     Some t
@@ -165,7 +176,9 @@ let touched_last_refresh t = t.touched
    otherwise the nodes reaching u from v's position range and the nodes
    reachable from v up to u's position range swap position pools.  The
    two discovery DFSs run before any mutation, so a rejected (cyclic)
-   insertion leaves the state untouched. *)
+   insertion leaves the state untouched.  They mark visits in the
+   state's scratch bitsets, collecting the visited nodes as they go so
+   the marks can be cleared bit by bit afterwards. *)
 let insert_edge t u v =
   let n = Array.length t.position in
   if u < 0 || u >= n || v < 0 || v >= n then
@@ -178,31 +191,40 @@ let insert_edge t u v =
   end
   else begin
     let lb = t.position.(v) and ub = t.position.(u) in
-    let fwd = Bitset.create n in
+    let fwd = t.fwd and bwd = t.bwd in
+    let unmark set nodes = List.iter (Bitset.remove set) nodes in
     let cycle = ref false in
-    let rec forward w =
-      if not !cycle then begin
+    let rec forward acc w =
+      if !cycle then acc
+      else begin
         Bitset.add fwd w;
-        List.iter
-          (fun x ->
-            if x = u then cycle := true
+        List.fold_left
+          (fun acc x ->
+            if x = u then begin
+              cycle := true;
+              acc
+            end
             else if t.position.(x) < ub && not (Bitset.mem fwd x) then
-              forward x)
-          (Graph.succs t.graph w)
+              forward acc x
+            else acc)
+          (w :: acc) (Graph.succs t.graph w)
       end
     in
-    forward v;
+    let fwd_nodes = forward [] v in
+    unmark fwd fwd_nodes;
     if !cycle then false
     else begin
-      let bwd = Bitset.create n in
-      let rec backward w =
+      let rec backward acc w =
         Bitset.add bwd w;
-        List.iter
-          (fun x ->
-            if t.position.(x) > lb && not (Bitset.mem bwd x) then backward x)
-          (Graph.preds t.graph w)
+        List.fold_left
+          (fun acc x ->
+            if t.position.(x) > lb && not (Bitset.mem bwd x) then
+              backward acc x
+            else acc)
+          (w :: acc) (Graph.preds t.graph w)
       in
-      backward u;
+      let bwd_nodes = backward [] u in
+      unmark bwd bwd_nodes;
       (* Positions increase along every path, so the forward frontier
          bounded by pos(u) cannot miss a cycle, and the two sets are
          disjoint whenever no cycle was found.  Reassign the merged
@@ -211,7 +233,7 @@ let insert_edge t u v =
       let by_pos l =
         List.sort (fun a b -> Int.compare t.position.(a) t.position.(b)) l
       in
-      let affected = by_pos (Bitset.to_list bwd) @ by_pos (Bitset.to_list fwd) in
+      let affected = by_pos bwd_nodes @ by_pos fwd_nodes in
       let pool =
         List.sort Int.compare (List.map (fun w -> t.position.(w)) affected)
       in

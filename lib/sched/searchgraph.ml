@@ -122,17 +122,17 @@ let comm_cost spec =
        (comm_terms ~platform:spec.platform ~app:spec.app
           ~crossing:(crossing spec)))
 
-(* The sequentialization edge families as explicit pair lists, emitted
-   in the exact order [build] inserts them.  [Solution]'s incremental
-   path derives per-move edge deltas from these same generators (with a
-   slot-based [cfg] labelling), so the edited live graph and a fresh
-   build can never disagree on the edge set.
+(* The sequentialization edge families, emitted pair by pair through a
+   callback in the exact order [build] inserts them.  [Solution]'s
+   incremental path derives per-move edge deltas from these same
+   emitters (with a slot-based [cfg] labelling), so the edited live
+   graph and a fresh build can never disagree on the edge set.
 
    Ownership contract: every Esw/Ehw pair has exactly one emitter.
 
    - An Esw pair (a, b) is owned by the adjacency of a and b in one
-     processor's execution order ([chain_pairs]; a task sits in at most
-     one order, so chains never share pairs).
+     processor's execution order ([chain_pairs_near]; a task sits in at
+     most one order, so chains never share pairs).
    - An Ehw pair (c_j, v) — configuration node before member — is owned
      by context j alone ([ehw_intra_pairs]).
    - An Ehw pair into c_j from the previous context — (c_{j-1}, c_j)
@@ -145,55 +145,69 @@ let comm_cost spec =
    duplicate-free.  A mutator can therefore emit the exact pair delta
    of a move by running the emitters of only the chains, contexts and
    adjacencies its footprint touches, before and after the mutation:
-   pairs owned by an untouched emitter are untouched. *)
+   pairs owned by an untouched emitter are untouched.  The emitters
+   allocate nothing per pair; the list forms below are collected from
+   them. *)
+
+(* Consecutive pairs of a chain with an endpoint satisfying [mem], in
+   chain order: the Esw pairs a move around the selected software
+   positions can have disturbed. *)
+let chain_pairs_near mem emit order =
+  (* [mem] runs once per task: [near_a] carries it along the walk. *)
+  let rec walk a near_a = function
+    | [] -> ()
+    | b :: rest ->
+      let near_b = mem b in
+      if near_a || near_b then emit a b;
+      walk b near_b rest
+  in
+  match order with [] -> () | a :: rest -> walk a (mem a) rest
+
+let rec ehw_intra_pairs ~cfg emit = function
+  | [] -> ()
+  | v :: rest ->
+    emit cfg v;
+    ehw_intra_pairs ~cfg emit rest
+
+let gtlp_pairs ~prev_cfg ~prev_members ~cfg emit =
+  emit prev_cfg cfg;
+  List.iter (fun v -> emit v cfg) prev_members
+
+let collect iter =
+  let acc = ref [] in
+  iter (fun u v -> acc := (u, v) :: !acc);
+  List.rev !acc
+
+let everything _ = true
+
 let chain_pairs order =
-  let rec walk acc = function
-    | a :: (b :: _ as rest) -> walk ((a, b) :: acc) rest
-    | [ _ ] | [] -> List.rev acc
-  in
-  walk [] order
+  collect (fun emit -> chain_pairs_near everything emit order)
 
-(* Consecutive pairs of a chain with an endpoint satisfying [mem]: the
-   Esw pairs a move around one software position can have disturbed.
-   One allocation-free walk of the order — no global list, no sort. *)
-let chain_pairs_near mem order =
-  let rec walk acc = function
-    | a :: (b :: _ as rest) ->
-      walk (if mem a || mem b then (a, b) :: acc else acc) rest
-    | [ _ ] | [] -> acc
-  in
-  walk [] order
-
-let ehw_intra_pairs ~cfg members = List.map (fun v -> (cfg, v)) members
-
-let gtlp_pairs ~prev_cfg ~prev_members ~cfg =
-  (prev_cfg, cfg) :: List.map (fun v -> (v, cfg)) prev_members
-
-(* [ehw_pairs] is the canonical concatenation of the per-class
-   emitters: intra pairs of context 0, then for each j >= 1 the GTLP
-   pairs of the adjacency (j-1, j) followed by the intra pairs of j.
-   Building it from the emitters themselves keeps the global list and
-   the per-move deltas structurally incapable of drifting. *)
-let ehw_pairs ~cfg contexts =
-  let rec walk j prev acc = function
-    | [] -> List.concat (List.rev acc)
+(* The canonical Ehw order: intra pairs of context 0, then for each
+   j >= 1 the GTLP pairs of the adjacency (j-1, j) followed by the
+   intra pairs of j — the per-class emitters run in sequence, so the
+   global list and the per-move deltas cannot drift apart. *)
+let iter_ehw_pairs ~cfg emit contexts =
+  let rec walk j prev_cfg prev_members = function
+    | [] -> ()
     | members :: rest ->
       let c = cfg j in
-      let here =
-        match prev with
-        | None -> ehw_intra_pairs ~cfg:c members
-        | Some (prev_cfg, prev_members) ->
-          gtlp_pairs ~prev_cfg ~prev_members ~cfg:c
-          @ ehw_intra_pairs ~cfg:c members
-      in
-      walk (j + 1) (Some (c, members)) (here :: acc) rest
+      if j > 0 then gtlp_pairs ~prev_cfg ~prev_members ~cfg:c emit;
+      ehw_intra_pairs ~cfg:c emit members;
+      walk (j + 1) c members rest
   in
-  walk 0 None [] contexts
+  walk 0 0 [] contexts
+
+let ehw_pairs ~cfg contexts =
+  collect (fun emit -> iter_ehw_pairs ~cfg emit contexts)
+
+let iter_sequencing_pairs ~cfg ~sw_order ~extra_sw_orders ~contexts emit =
+  chain_pairs_near everything emit sw_order;
+  List.iter (chain_pairs_near everything emit) extra_sw_orders;
+  iter_ehw_pairs ~cfg emit contexts
 
 let sequencing_pairs ~cfg ~sw_order ~extra_sw_orders ~contexts =
-  chain_pairs sw_order
-  @ List.concat_map chain_pairs extra_sw_orders
-  @ ehw_pairs ~cfg contexts
+  collect (iter_sequencing_pairs ~cfg ~sw_order ~extra_sw_orders ~contexts)
 
 let build ?reuse spec =
   let n = App.size spec.app in
@@ -213,12 +227,10 @@ let build ?reuse spec =
      followed by the context sequentialization (Ehw): configuration
      node n+j waits for all members of context j-1 (and the previous
      configuration) and precedes all members of context j. *)
-  List.iter
-    (fun (a, b) -> Graph.add_edge g a b)
-    (sequencing_pairs
-       ~cfg:(fun j -> n + j)
-       ~sw_order:spec.sw_order ~extra_sw_orders:spec.extra_sw_orders
-       ~contexts:spec.contexts);
+  iter_sequencing_pairs
+    ~cfg:(fun j -> n + j)
+    ~sw_order:spec.sw_order ~extra_sw_orders:spec.extra_sw_orders
+    ~contexts:spec.contexts (Graph.add_edge g);
   let node_weight v =
     if v < n then exec_time spec v
     else

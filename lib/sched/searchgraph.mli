@@ -130,35 +130,54 @@ val comm_cost : spec -> float
     families are mutually disjoint, so the canonical list is
     duplicate-free, and a mutator obtains the exact pair delta of a
     move by running only the emitters its footprint touches, before
-    and after the mutation. *)
+    and after the mutation.
+
+    The emitters are callback iterators: each pair [(u, v)] is handed
+    to [emit u v] as it is found, and the emitters allocate nothing per
+    pair, so the incremental evaluator can pack the pairs straight
+    into its reusable int buffers.  The list forms ({!chain_pairs},
+    {!ehw_pairs}, {!sequencing_pairs}) are collected from the same
+    emitters. *)
+
+val chain_pairs_near :
+  (int -> bool) -> (int -> int -> unit) -> int list -> unit
+(** [chain_pairs_near mem emit order] emits, in chain order, the
+    consecutive pairs of a software execution order with at least one
+    endpoint satisfying [mem]: the Esw pairs a move around the selected
+    positions can have disturbed.  One walk of the order. *)
+
+val ehw_intra_pairs : cfg:int -> (int -> int -> unit) -> int list -> unit
+(** [ehw_intra_pairs ~cfg emit members] emits the pairs owned by one
+    context: its configuration node [cfg] before each member. *)
+
+val gtlp_pairs :
+  prev_cfg:int -> prev_members:int list -> cfg:int ->
+  (int -> int -> unit) -> unit
+(** Emits the pairs owned by an adjacent context pair: the
+    configuration chain edge [(prev_cfg, cfg)], then [(v, cfg)] for each
+    member of the earlier context — the globally-total local order of
+    the DRLC. *)
+
+val iter_sequencing_pairs :
+  cfg:(int -> int) ->
+  sw_order:int list ->
+  extra_sw_orders:int list list ->
+  contexts:int list list ->
+  (int -> int -> unit) ->
+  unit
+(** All Esw ∪ Ehw pairs in {!build}'s insertion order, configuration
+    node ids supplied by [cfg] (positional index → node id): the chain
+    of [sw_order], the chains of [extra_sw_orders], then the Ehw pairs —
+    intra pairs of context 0, then per adjacency its GTLP pairs followed
+    by the next context's intra pairs. *)
 
 val chain_pairs : int list -> (int * int) list
 (** Consecutive pairs of a software execution order: the Esw chain
     edges, in emission order. *)
 
-val chain_pairs_near : (int -> bool) -> int list -> (int * int) list
-(** Consecutive pairs of an order with at least one endpoint selected:
-    the Esw pairs a move around the selected positions can have
-    disturbed.  One walk of the order, no global list; pair order is
-    unspecified (callers sort). *)
-
-val ehw_intra_pairs : cfg:int -> int list -> (int * int) list
-(** Pairs owned by one context: its configuration node [cfg] before
-    each member. *)
-
-val gtlp_pairs :
-  prev_cfg:int -> prev_members:int list -> cfg:int -> (int * int) list
-(** Pairs owned by an adjacent context pair: the configuration chain
-    edge [(prev_cfg, cfg)] and [(v, cfg)] for each member of the
-    earlier context — the globally-total local order of the DRLC. *)
-
 val ehw_pairs : cfg:(int -> int) -> int list list -> (int * int) list
-(** The Ehw context-sequentialization edges for the given context list,
-    with configuration-node ids supplied by [cfg] (positional index →
-    node id), in the exact order {!build} inserts them: intra pairs of
-    context 0, then per adjacency its GTLP pairs followed by the next
-    context's intra pairs — the concatenation of the per-class
-    emitters. *)
+(** The Ehw pairs of {!iter_sequencing_pairs} for the given context
+    list, as a list in emission order. *)
 
 val sequencing_pairs :
   cfg:(int -> int) ->
@@ -166,10 +185,10 @@ val sequencing_pairs :
   extra_sw_orders:int list list ->
   contexts:int list list ->
   (int * int) list
-(** All Esw ∪ Ehw pairs in {!build}'s emission order.  The incremental
-    evaluator regenerates this list only in its [REPRO_CHECK_DELTAS]
-    paranoid mode, to assert the mutator-emitted deltas against a
-    regenerate-and-diff reference. *)
+(** {!iter_sequencing_pairs} as a list.  The incremental evaluator
+    builds it only in its [REPRO_CHECK_DELTAS] paranoid mode, to assert
+    the mutator-emitted deltas against a regenerate-and-diff
+    reference. *)
 
 val build :
   ?reuse:Graph.t -> spec -> Graph.t * (int -> float) * (int -> int -> float)

@@ -33,13 +33,15 @@ let check t v =
 let has_edge t src dst =
   check t src;
   check t dst;
-  List.mem dst t.succs.(src)
+  (* [memq] is int equality on these int lists: the polymorphic
+     [List.mem] would pay a C [compare] per element on every edge edit. *)
+  List.memq dst t.succs.(src)
 
 let add_edge t src dst =
   check t src;
   check t dst;
   if src = dst then invalid_arg "Graph.add_edge: self-loop";
-  if not (List.mem dst t.succs.(src)) then begin
+  if not (List.memq dst t.succs.(src)) then begin
     t.succs.(src) <- dst :: t.succs.(src);
     t.preds.(dst) <- src :: t.preds.(dst);
     t.edge_count <- t.edge_count + 1
@@ -48,7 +50,7 @@ let add_edge t src dst =
 let remove_edge t src dst =
   check t src;
   check t dst;
-  if List.mem dst t.succs.(src) then begin
+  if List.memq dst t.succs.(src) then begin
     t.succs.(src) <- List.filter (fun v -> v <> dst) t.succs.(src);
     t.preds.(dst) <- List.filter (fun v -> v <> src) t.preds.(dst);
     t.edge_count <- t.edge_count - 1

@@ -167,7 +167,12 @@ let test_build_exposes_cfg_nodes () =
 (* --- sequentialization-pair emitters ------------------------------ *)
 
 let ipair = Alcotest.(pair int int)
-let sorted_pairs = List.sort compare
+
+(* The pairs an emitter hands to its callback, in emission order. *)
+let emitted iter =
+  let acc = ref [] in
+  iter (fun u v -> acc := (u, v) :: !acc);
+  List.rev !acc
 
 (* The per-class emitters, concatenated per the ownership contract,
    must reproduce [ehw_pairs] exactly — order included — for every
@@ -181,12 +186,14 @@ let test_emitters_compose () =
       let rec walk j prev = function
         | [] -> []
         | members :: rest ->
-          Searchgraph.gtlp_pairs ~prev_cfg:(cfg (j - 1)) ~prev_members:prev
-            ~cfg:(cfg j)
-          @ Searchgraph.ehw_intra_pairs ~cfg:(cfg j) members
+          emitted
+            (Searchgraph.gtlp_pairs ~prev_cfg:(cfg (j - 1)) ~prev_members:prev
+               ~cfg:(cfg j))
+          @ emitted (fun emit ->
+                Searchgraph.ehw_intra_pairs ~cfg:(cfg j) emit members)
           @ walk (j + 1) members rest
       in
-      Searchgraph.ehw_intra_pairs ~cfg:(cfg 0) first
+      emitted (fun emit -> Searchgraph.ehw_intra_pairs ~cfg:(cfg 0) emit first)
       @ walk 1 first (List.tl ctxs)
   in
   List.iter
@@ -200,19 +207,28 @@ let test_emitters_compose () =
 
 let test_chain_pairs_near () =
   let order = [ 4; 1; 7; 2; 9 ] in
-  (* Selecting everything recovers the full chain (order aside). *)
+  let near mem =
+    emitted (fun emit -> Searchgraph.chain_pairs_near mem emit order)
+  in
+  (* Selecting everything recovers the full chain, in chain order. *)
   Alcotest.(check (list ipair))
     "total selection = chain_pairs"
-    (sorted_pairs (Searchgraph.chain_pairs order))
-    (sorted_pairs (Searchgraph.chain_pairs_near (fun _ -> true) order));
+    (Searchgraph.chain_pairs order)
+    (near (fun _ -> true));
   (* A single selected task owns exactly its incident chain pairs. *)
   Alcotest.(check (list ipair))
     "pairs around one task"
     [ (1, 7); (7, 2) ]
-    (sorted_pairs (Searchgraph.chain_pairs_near (fun v -> v = 7) order));
+    (near (fun v -> v = 7));
+  Alcotest.(check (list ipair)) "nothing selected" [] (near (fun _ -> false));
+  (* The emitters run in build order: chains, then the Ehw pairs. *)
+  let cfg j = 100 + j in
   Alcotest.(check (list ipair))
-    "nothing selected" []
-    (Searchgraph.chain_pairs_near (fun _ -> false) order)
+    "sequencing order"
+    [ (4, 1); (1, 7); (7, 2); (2, 9); (0, 8); (100, 3); (100, 101); (3, 101);
+      (101, 5); (101, 6) ]
+    (Searchgraph.sequencing_pairs ~cfg ~sw_order:order
+       ~extra_sw_orders:[ [ 0; 8 ] ] ~contexts:[ [ 3 ]; [ 5; 6 ] ])
 
 (* Updating sum-tree leaves must land on exactly the bits a fresh tree
    over the mutated terms produces — the invariant that keeps patched

@@ -449,6 +449,125 @@ let qcheck_paranoid_deltas =
           done;
           !ok))
 
+(* --- larger instances ---------------------------------------------- *)
+
+(* A generated layered graph of 132 tasks. *)
+let layered_app () =
+  let application =
+    Generators.layered ~name:"g128" (Rng.create 4) Generators.default_impl_model
+      ~layers:10 ~width:28 ~edge_probability:0.05 ~mean_sw_time:2.0
+      ~mean_kbytes:8.0
+  in
+  Alcotest.(check int) "layered graph size" 132 (App.size application);
+  application
+
+let dual_platform () =
+  Platform.make ~name:"dual"
+    ~processor:(Resource.processor "cpu")
+    ~rc:(Resource.reconfigurable ~n_clb:1200 ~reconfig_ms_per_clb:0.01 "rc")
+    ~extra:[ Resource.processor ~speed:1.5 "dsp" ]
+    ~bus:{ Platform.kb_per_ms = 80.0; latency_ms = 0.05 }
+    ()
+
+let same_eval (got : Searchgraph.eval) (want : Searchgraph.eval) =
+  Int64.bits_of_float got.makespan = Int64.bits_of_float want.makespan
+  && Int64.bits_of_float got.initial_reconfig
+     = Int64.bits_of_float want.initial_reconfig
+  && Int64.bits_of_float got.dynamic_reconfig
+     = Int64.bits_of_float want.dynamic_reconfig
+  && Int64.bits_of_float got.comm = Int64.bits_of_float want.comm
+  && got.n_contexts = want.n_contexts
+  && Array.length got.finish = Array.length want.finish
+  && Array.for_all2
+       (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+       got.finish want.finish
+
+(* Paranoid mode on a graph large enough that moves between the two
+   processors change several chains at once: every structural move's
+   emitted delta is asserted against the regenerate-and-diff reference,
+   and the incremental evaluation must match a fresh build bit for bit. *)
+let test_paranoid_large_dual () =
+  let was = Solution.check_deltas_enabled () in
+  Solution.set_check_deltas true;
+  Fun.protect ~finally:(fun () -> Solution.set_check_deltas was) @@ fun () ->
+  let application = layered_app () in
+  let rng = Rng.create 5 in
+  let s = Solution.random rng application (dual_platform ()) in
+  let both_busy = ref false in
+  for step = 1 to 1500 do
+    (match Repro_dse.Moves.propose rng Repro_dse.Moves.fixed_architecture s with
+     | Some undo -> if Rng.bernoulli rng 0.3 then undo ()
+     | None -> ());
+    (match Solution.sw_orders s with
+     | [ _ :: _; _ :: _ ] -> both_busy := true
+     | _ -> ());
+    if step mod 50 = 0 then
+      match (Solution.evaluate s, Searchgraph.evaluate (Solution.spec s)) with
+      | None, None -> ()
+      | Some got, Some want ->
+        if not (same_eval got want) then
+          Alcotest.failf "step %d: incremental evaluation differs from a \
+                          fresh build" step
+      | _ -> Alcotest.failf "step %d: feasibility differs" step
+  done;
+  let stats = Solution.eval_stats s in
+  Alcotest.(check bool) "both processors used" true !both_busy;
+  Alcotest.(check bool) "deltas cross-checked" true
+    (stats.Solution.pair_regens > 100);
+  Alcotest.(check bool) "cross-processor moves served incrementally" true
+    ((Solution.kind_stats stats Solution.Sw_migrate).Solution.k_incr_evals > 0)
+
+(* The per-kind footprint counters of two fixed-seed annealing chains,
+   recorded literally: a change to what any move touches (pairs
+   emitted, edges edited, nodes refreshed, boundary terms patched)
+   fails here instead of hiding in a timing. *)
+let chain_counts application plat ~iterations ~seed =
+  let config =
+    {
+      (Repro_dse.Explorer.default_config ~seed ()) with
+      Repro_dse.Explorer.anneal =
+        {
+          Repro_anneal.Annealer.default_config with
+          iterations;
+          warmup_iterations = 200;
+          seed;
+        };
+    }
+  in
+  let result = Repro_dse.Explorer.explore config application plat in
+  let stats = Solution.eval_stats result.Repro_dse.Explorer.best in
+  List.map
+    (fun kind ->
+      let k = Solution.kind_stats stats kind in
+      ( Solution.move_kind_label kind,
+        [ k.Solution.k_pairs_emitted; k.k_edges_edited; k.k_incr_nodes;
+          k.k_comm_patched ] ))
+    Solution.move_kinds
+
+let test_pinned_move_counts () =
+  let counts = Alcotest.(list (pair string (list int))) in
+  Alcotest.check counts "motion detection"
+    [ ("init", [ 0; 0; 0; 0 ]); ("impl", [ 0; 0; 12513; 0 ]);
+      ("sw_reorder", [ 7910; 281; 1009; 0 ]);
+      ("sw_migrate", [ 12892; 1276; 9707; 838 ]);
+      ("ctx_migrate", [ 10182; 886; 7300; 573 ]);
+      ("ctx_create", [ 4305; 181; 515; 49 ]);
+      ("ctx_swap", [ 1421; 32; 48; 0 ]); ("platform", [ 0; 0; 0; 0 ]) ]
+    (chain_counts
+       (Repro_workloads.Motion_detection.app ())
+       (Repro_workloads.Motion_detection.platform ~n_clb:2000 ())
+       ~iterations:3000 ~seed:11);
+  Alcotest.check counts "layered 128"
+    [ ("init", [ 0; 0; 0; 0 ]); ("impl", [ 0; 0; 17056; 0 ]);
+      ("sw_reorder", [ 13320; 1209; 9349; 0 ]);
+      ("sw_migrate", [ 6396; 880; 10855; 479 ]);
+      ("ctx_migrate", [ 7517; 369; 5482; 165 ]);
+      ("ctx_create", [ 3997; 302; 2321; 70 ]);
+      ("ctx_swap", [ 4388; 678; 1520; 0 ]); ("platform", [ 0; 0; 0; 0 ]) ]
+    (chain_counts (layered_app ())
+       (Repro_workloads.Motion_detection.platform ~n_clb:1200 ())
+       ~iterations:2000 ~seed:12)
+
 let test_replace_platform () =
   let s = Solution.all_software (app ()) (platform ~n_clb:100 ()) in
   Solution.append_context s ~task:3;
@@ -488,5 +607,9 @@ let suite =
     Alcotest.test_case "native delta counters" `Quick
       test_native_delta_counters;
     QCheck_alcotest.to_alcotest qcheck_paranoid_deltas;
+    Alcotest.test_case "paranoid deltas on a 2-processor layered graph" `Quick
+      test_paranoid_large_dual;
+    Alcotest.test_case "pinned move-path counts" `Quick
+      test_pinned_move_counts;
     Alcotest.test_case "replace platform" `Quick test_replace_platform;
   ]
