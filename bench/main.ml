@@ -295,53 +295,44 @@ let compare_methods () =
   row "adaptive SA (this paper)" sa.Explorer.best_cost
     (string_of_int sa.Explorer.best_eval.Searchgraph.n_contexts)
     sa.Explorer.wall_seconds;
+  (* Every baseline runs through the uniform engine contract: seed 1,
+     its own iteration budget, contexts read off the returned best. *)
+  let run_engine engine ~iterations =
+    Engine.run engine (Engine.context ~app ~platform ~seed:1 ~iterations ())
+  in
+  let engine_row name (o : Engine.outcome) =
+    let contexts =
+      match Solution.evaluate o.Engine.best with
+      | Some eval -> string_of_int eval.Searchgraph.n_contexts
+      | None -> "-"
+    in
+    row name o.Engine.best_cost contexts o.Engine.wall_seconds
+  in
   let ga =
-    Ga.run
-      { Ga.default_config with seed = 1; population = ga_population;
-        generations = ga_generations }
-      app platform
+    run_engine (Ga.engine ~population:ga_population ())
+      ~iterations:ga_generations
   in
-  row
-    (Printf.sprintf "GA after [6] (pop %d)" ga_population)
-    ga.Ga.best_eval.Searchgraph.makespan
-    (string_of_int ga.Ga.best_eval.Searchgraph.n_contexts)
-    ga.Ga.wall_seconds;
-  let ga_basic =
-    Ga.run
-      { Ga.default_config with seed = 1; population = ga_population;
-        generations = ga_generations; explore_impls = false }
-      app platform
+  engine_row (Printf.sprintf "GA after [6] (pop %d)" ga_population) ga;
+  let ga_spatial =
+    run_engine
+      (Ga.engine ~population:ga_population ~explore_impls:false ())
+      ~iterations:ga_generations
   in
-  row "GA, spatial genes only (as [6])"
-    ga_basic.Ga.best_eval.Searchgraph.makespan
-    (string_of_int ga_basic.Ga.best_eval.Searchgraph.n_contexts)
-    ga_basic.Ga.wall_seconds;
-  let greedy = Greedy.run app platform in
-  row
-    (Printf.sprintf "greedy compute-to-HW (frac %.1f)" greedy.Greedy.hw_fraction)
-    greedy.Greedy.eval.Searchgraph.makespan
-    (string_of_int greedy.Greedy.eval.Searchgraph.n_contexts)
-    greedy.Greedy.wall_seconds;
-  let random =
-    Random_search.run ~seed:1 ~samples:random_samples app platform
-  in
-  row
-    (Printf.sprintf "random search (%d samples)" random_samples)
-    random.Random_search.best_makespan "-" random.Random_search.wall_seconds;
+  engine_row "GA, spatial genes only (as [6])" ga_spatial;
+  let greedy = run_engine Greedy.engine ~iterations:11 in
+  engine_row "greedy compute-to-HW (11 fractions)" greedy;
+  let random = run_engine Random_search.engine ~iterations:random_samples in
+  engine_row (Printf.sprintf "random search (%d samples)" random_samples) random;
   let hill =
-    Hill_climb.run
-      { Hill_climb.seed = 1; moves_per_climb = hill_moves; restarts = 5 }
-      app platform
+    run_engine
+      (Hill_climb.engine_with ~moves_per_climb:hill_moves ())
+      ~iterations:(hill_moves * 5)
   in
-  row "hill climbing (5 restarts)" hill.Hill_climb.best_makespan "-"
-    hill.Hill_climb.wall_seconds;
+  engine_row "hill climbing (5 restarts)" hill;
   let tabu =
-    Tabu.run
-      { Tabu.seed = 1; iterations = tabu_iters; neighbourhood = 24;
-        tenure = 20; aspiration = false }
-      app platform
+    run_engine (Tabu.engine_with ~tenure:20 ()) ~iterations:tabu_iters
   in
-  row "tabu search (tenure 20)" tabu.Tabu.best_makespan "-" tabu.Tabu.wall_seconds;
+  engine_row "tabu search (tenure 20)" tabu;
   Repro_baseline.Engines.register_all ();
   let portfolio =
     let engine =
@@ -358,8 +349,13 @@ let compare_methods () =
   [
     ("sa_best_ms", sa.Explorer.best_cost);
     ("sa_seconds", sa.Explorer.wall_seconds);
-    ("ga_best_ms", ga.Ga.best_eval.Searchgraph.makespan);
-    ("ga_seconds", ga.Ga.wall_seconds);
+    ("ga_best_ms", ga.Engine.best_cost);
+    ("ga_seconds", ga.Engine.wall_seconds);
+    ("ga_spatial_best_ms", ga_spatial.Engine.best_cost);
+    ("greedy_best_ms", greedy.Engine.best_cost);
+    ("random_best_ms", random.Engine.best_cost);
+    ("hill_best_ms", hill.Engine.best_cost);
+    ("tabu_best_ms", tabu.Engine.best_cost);
     ("portfolio_best_ms", portfolio.Engine.best_cost);
     ("portfolio_seconds", portfolio.Engine.wall_seconds);
     ("iterations_per_second",
@@ -738,9 +734,9 @@ let pareto () =
      makes the full cost/performance trade explicit.\n\n";
   let app = Md.app () in
   let catalogue = List.map (fun n_clb -> Md.platform ~n_clb ()) Md.fig3_sizes in
-  let frontier =
-    Explorer.cost_performance_frontier ~seed:1 ~iterations:iters_per_run
-      ~jobs:bench_jobs app catalogue
+  let { Explorer.frontier; _ } =
+    Explorer.cost_performance_frontier_supervised ~seed:1
+      ~iterations:iters_per_run ~jobs:bench_jobs app catalogue
   in
   let table =
     Table.create
@@ -1151,10 +1147,17 @@ let restarts_bench () =
   in
   let timed jobs =
     let t0 = Clock.wall () in
-    let best, costs =
-      Explorer.explore_restarts ~jobs ~restarts:4 config app platform
+    let report =
+      Explorer.explore_restarts_supervised ~jobs ~restarts:4 config app
+        platform
     in
-    (Clock.wall () -. t0, best, costs)
+    match report.Explorer.best_result with
+    | Some best when report.Explorer.degraded = 0 ->
+      (Clock.wall () -. t0, best, report.Explorer.restart_costs)
+    | Some _ | None ->
+      failwith
+        (Printf.sprintf "restarts_bench: %d of 4 restarts lost"
+           report.Explorer.degraded)
   in
   let wall1, best1, costs1 = timed 1 in
   let wall4, best4, costs4 = timed 4 in

@@ -141,11 +141,7 @@ let run clbs seed sa_iters ga_generations ga_population evals engines_spec
       | "sa" | "hill" -> sa_iters
       | "ga" | "ga-spatial" -> ga_generations
       | "random" -> sa_iters / 10
-      | "tabu" ->
-        max 1
-          (sa_iters
-           / Repro_baseline.Tabu.default_config.Repro_baseline.Tabu
-             .neighbourhood)
+      | "tabu" -> max 1 (sa_iters / Repro_baseline.Tabu.default_neighbourhood)
       | _ -> Engine.default_iterations engine)
   in
 

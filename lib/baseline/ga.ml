@@ -5,40 +5,16 @@ module Rng = Repro_util.Rng
 module Engine = Repro_dse.Engine
 module Solution = Repro_dse.Solution
 
-type config = {
-  population : int;
-  generations : int;
-  crossover_rate : float;
-  mutation_rate : float;
-  tournament : int;
-  elite : int;
-  seed : int;
-  explore_impls : bool;
-}
-
-let default_config =
-  {
-    population = 300;
-    generations = 120;
-    crossover_rate = 0.9;
-    mutation_rate = 0.02;
-    tournament = 3;
-    elite = 2;
-    seed = 1;
-    explore_impls = true;
-  }
+(* The fixed knobs of [6]'s GA; population and implementation genes
+   are the engine's only settings, the seed and the generation budget
+   come from the engine context. *)
+let default_population = 300
+let crossover_rate = 0.9
+let mutation_rate = 0.02
+let tournament = 3
+let elite = 2
 
 type individual = { hw : bool array; impl : int array }
-
-type result = {
-  best : individual;
-  best_spec : Searchgraph.spec;
-  best_eval : Searchgraph.eval;
-  evaluations : int;
-  generations_run : int;
-  history : float list;
-  wall_seconds : float;
-}
 
 (* The deterministic realization of a chromosome, shared by the spec
    decoder and the Solution builder: temporal partitioning by
@@ -111,13 +87,13 @@ let fitness app platform individual =
   | Some eval -> eval.Searchgraph.makespan
   | None -> infinity
 
-let random_individual rng config app =
+let random_individual rng ~explore_impls app =
   let n = App.size app in
   {
     hw = Array.init n (fun _ -> Rng.bool rng);
     impl =
       Array.init n (fun v ->
-          if config.explore_impls then
+          if explore_impls then
             Rng.int rng (Task.impl_count (App.task app v))
           else 0);
   }
@@ -131,42 +107,40 @@ let crossover rng a b =
     impl = Array.init n (fun v -> pick a.impl.(v) b.impl.(v));
   }
 
-let mutate rng config app rate individual =
+let mutate rng ~explore_impls app individual =
   let n = Array.length individual.hw in
   for v = 0 to n - 1 do
-    if Rng.bernoulli rng rate then individual.hw.(v) <- not individual.hw.(v);
-    if config.explore_impls && Rng.bernoulli rng rate then
+    if Rng.bernoulli rng mutation_rate then
+      individual.hw.(v) <- not individual.hw.(v);
+    if explore_impls && Rng.bernoulli rng mutation_rate then
       individual.impl.(v) <- Rng.int rng (Task.impl_count (App.task app v))
   done
 
 let copy_individual i = { hw = Array.copy i.hw; impl = Array.copy i.impl }
 
 (* Evolution through the generic driver: one iteration = one
-   generation.  [config.seed] and [config.generations] are ignored —
-   the seed and the budget come from the engine context.  Returns the
-   outcome plus the final best individual (the elite slots make
-   population.(0) the best ever seen). *)
-let evolve ?progress config (ctx : Engine.context) =
-  if config.population < 2 then invalid_arg "Ga: population < 2";
-  if config.elite >= config.population then invalid_arg "Ga: elite too big";
+   generation; the elite slots make population.(0) the best ever
+   seen. *)
+let evolve ~population:size ~explore_impls (ctx : Engine.context) =
+  if size < 2 then invalid_arg "Ga: population < 2";
+  if elite >= size then invalid_arg "Ga: elite too big";
   let app = ctx.Engine.app and platform = ctx.Engine.platform in
   let score individual = fitness app platform individual in
   let by_fitness (fa, _) (fb, _) = compare fa fb in
-  let final = ref None in
   let previous_best = ref infinity in
   (* The full scored population crosses the checkpoint: one header
      line per run plus one "ind <fitness> <hw-genes> <impl-genes>"
      line per individual, fitness in %h so the sort order (and hence
      every later tournament) is reproduced bit-exactly. *)
   let codec =
-    let name = if config.explore_impls then "ga" else "ga-spatial" in
+    let name = if explore_impls then "ga" else "ga-spatial" in
     {
       Engine.engine = name;
       version = 1;
       encode =
         (fun population ->
           let b = Buffer.create 4096 in
-          Printf.bprintf b "ga %d %h\n" config.population !previous_best;
+          Printf.bprintf b "ga %d %h\n" size !previous_best;
           Array.iter
             (fun (fit, i) ->
               Printf.bprintf b "ind %h " fit;
@@ -190,12 +164,12 @@ let evolve ?progress config (ctx : Engine.context) =
             match String.split_on_char ' ' header with
             | [ "ga"; pop; prev ] -> (
               match (int_of_string_opt pop, float_of_string_opt prev) with
-              | Some p, _ when p <> config.population ->
+              | Some p, _ when p <> size ->
                 Error
                   (Printf.sprintf
                      "taken with population %d — this engine is configured \
                       with %d"
-                     p config.population)
+                     p size)
               | Some _, Some prev -> Ok prev
               | _ -> Error "bad ga line")
             | _ -> Error "expected a ga line"
@@ -226,98 +200,85 @@ let evolve ?progress config (ctx : Engine.context) =
                 Ok (i :: acc))
               (Ok []) ind_lines
           in
-          if List.length individuals <> config.population then
+          if List.length individuals <> size then
             Error "wrong number of individuals"
           else begin
-            let population = Array.of_list (List.rev individuals) in
             previous_best := prev;
-            final := Some population;
-            Ok population
+            Ok (Array.of_list (List.rev individuals))
           end);
     }
   in
-  let outcome =
-    Engine.drive ~codec ctx
-      ~init:(fun rng ->
-        let population =
-          Array.init config.population (fun _ ->
-              let i = random_individual rng config app in
-              (score i, i))
-        in
-        (* Seed one all-software individual: always feasible, so the
-           final best is finite even if every random spatial partition
-           decodes to a cyclic search graph. *)
-        let n = App.size app in
-        let all_sw = { hw = Array.make n false; impl = Array.make n 0 } in
-        population.(config.population - 1) <- (score all_sw, all_sw);
-        (* A warm start enters the gene pool as one more seeded
-           individual (never displacing the all-software safety net),
-           so the evolved best can only match or beat the donor. *)
-        let warm_evals =
-          match ctx.Engine.warm_start with
-          | None -> 0
-          | Some w ->
-            let genome =
-              {
-                hw =
-                  Array.init n (fun v ->
-                      Solution.binding w v <> Searchgraph.Sw);
-                impl = Array.init n (fun v -> Solution.impl_index w v);
-              }
-            in
-            population.(0) <- (score genome, genome);
-            1
-        in
-        Array.sort by_fitness population;
-        final := Some population;
-        previous_best := fst population.(0);
-        (population, fst population.(0), config.population + 1 + warm_evals))
-      ~step:(fun rng ~iteration population ->
-        let tournament_pick () =
-          let best = ref (Rng.int rng config.population) in
-          for _ = 2 to config.tournament do
-            let candidate = Rng.int rng config.population in
-            if fst population.(candidate) < fst population.(!best) then
-              best := candidate
-          done;
-          snd population.(!best)
-        in
-        let next =
-          Array.init config.population (fun slot ->
-              if slot < config.elite then
-                let f, i = population.(slot) in
-                (f, copy_individual i)
-              else begin
-                let parent_a = tournament_pick () in
-                let child =
-                  if Rng.bernoulli rng config.crossover_rate then
-                    crossover rng parent_a (tournament_pick ())
-                  else copy_individual parent_a
-                in
-                mutate rng config app config.mutation_rate child;
-                (score child, child)
-              end)
-        in
-        Array.sort by_fitness next;
-        Array.blit next 0 population 0 config.population;
-        let cost = fst population.(0) in
-        let accepted = cost < !previous_best in
-        if accepted then previous_best := cost;
-        (match progress with
-         | Some f -> f ~generation:(iteration + 1) ~best:cost
-         | None -> ());
-        { Engine.state = population; cost; accepted;
-          evaluations = config.population - config.elite })
-      ~snapshot:(fun population ->
-        solution_of_exn app platform (snd population.(0)))
-  in
-  match !final with
-  | None -> assert false (* init always runs *)
-  | Some population -> (outcome, snd population.(0))
+  Engine.drive ~codec ctx
+    ~init:(fun rng ->
+      let population =
+        Array.init size (fun _ ->
+            let i = random_individual rng ~explore_impls app in
+            (score i, i))
+      in
+      (* Seed one all-software individual: always feasible, so the
+         final best is finite even if every random spatial partition
+         decodes to a cyclic search graph. *)
+      let n = App.size app in
+      let all_sw = { hw = Array.make n false; impl = Array.make n 0 } in
+      population.(size - 1) <- (score all_sw, all_sw);
+      (* A warm start enters the gene pool as one more seeded
+         individual (never displacing the all-software safety net),
+         so the evolved best can only match or beat the donor. *)
+      let warm_evals =
+        match ctx.Engine.warm_start with
+        | None -> 0
+        | Some w ->
+          let genome =
+            {
+              hw =
+                Array.init n (fun v -> Solution.binding w v <> Searchgraph.Sw);
+              impl = Array.init n (fun v -> Solution.impl_index w v);
+            }
+          in
+          population.(0) <- (score genome, genome);
+          1
+      in
+      Array.sort by_fitness population;
+      previous_best := fst population.(0);
+      (population, fst population.(0), size + 1 + warm_evals))
+    ~step:(fun rng ~iteration:_ population ->
+      let tournament_pick () =
+        let best = ref (Rng.int rng size) in
+        for _ = 2 to tournament do
+          let candidate = Rng.int rng size in
+          if fst population.(candidate) < fst population.(!best) then
+            best := candidate
+        done;
+        snd population.(!best)
+      in
+      let next =
+        Array.init size (fun slot ->
+            if slot < elite then
+              let f, i = population.(slot) in
+              (f, copy_individual i)
+            else begin
+              let parent_a = tournament_pick () in
+              let child =
+                if Rng.bernoulli rng crossover_rate then
+                  crossover rng parent_a (tournament_pick ())
+                else copy_individual parent_a
+              in
+              mutate rng ~explore_impls app child;
+              (score child, child)
+            end)
+      in
+      Array.sort by_fitness next;
+      Array.blit next 0 population 0 size;
+      let cost = fst population.(0) in
+      let accepted = cost < !previous_best in
+      if accepted then previous_best := cost;
+      { Engine.state = population; cost; accepted;
+        evaluations = size - elite })
+    ~snapshot:(fun population ->
+      solution_of_exn app platform (snd population.(0)))
 
-let engine ?(population = default_config.population) ?(explore_impls = true)
-    () : Engine.t =
-  let config = { default_config with population; explore_impls } in
+let engine ?(population = default_population) ?(explore_impls = true) () :
+    Engine.t =
   (module struct
     let name = if explore_impls then "ga" else "ga-spatial"
 
@@ -331,37 +292,10 @@ let engine ?(population = default_config.population) ?(explore_impls = true)
 
     let knobs =
       Printf.sprintf
-        "population %d, crossover 0.9, mutation 0.02, tournament 3, \
-         elite 2; one iteration = one generation" population
+        "population %d, crossover %g, mutation %g, tournament %d, elite %d; \
+         one iteration = one generation"
+        population crossover_rate mutation_rate tournament elite
 
-    let default_iterations = default_config.generations
-    let run ctx = fst (evolve config ctx)
+    let default_iterations = 120
+    let run ctx = evolve ~population ~explore_impls ctx
   end : Engine.S)
-
-let run ?progress config app platform =
-  let ctx =
-    Engine.context ~app ~platform ~seed:config.seed
-      ~iterations:config.generations ()
-  in
-  let history = ref [] in
-  let record ~generation ~best =
-    history := best :: !history;
-    match progress with Some f -> f ~generation ~best | None -> ()
-  in
-  let outcome, best = evolve ~progress:record config ctx in
-  let best_spec = decode app platform best in
-  let best_eval =
-    match Searchgraph.evaluate best_spec with
-    | Some eval -> eval
-    | None -> assert false (* the seeded all-software individual is
-                              feasible, so the best one is too *)
-  in
-  {
-    best;
-    best_spec;
-    best_eval;
-    evaluations = outcome.Engine.evaluations;
-    generations_run = outcome.Engine.iterations_run;
-    history = outcome.Engine.initial_cost :: List.rev !history;
-    wall_seconds = outcome.Engine.wall_seconds;
-  }

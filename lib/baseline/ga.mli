@@ -12,37 +12,9 @@ open Repro_taskgraph
 open Repro_arch
 open Repro_sched
 
-type config = {
-  population : int;       (** the paper quotes 300 in [6] *)
-  generations : int;
-  crossover_rate : float;
-  mutation_rate : float;  (** per-gene flip probability *)
-  tournament : int;
-  elite : int;
-  seed : int;
-  explore_impls : bool;
-  (** when false, every individual keeps the smallest implementation —
-      the spatial-partitioning-only GA closest to [6]'s published
-      description *)
-}
-
-val default_config : config
-(** population 300, 120 generations, crossover 0.9, mutation 0.02,
-    tournament 3, elite 2, seed 1, implementations explored. *)
-
 type individual = {
   hw : bool array;        (** spatial partitioning gene per task *)
   impl : int array;       (** implementation-selection gene per task *)
-}
-
-type result = {
-  best : individual;
-  best_spec : Searchgraph.spec;
-  best_eval : Searchgraph.eval;
-  evaluations : int;
-  generations_run : int;
-  history : float list;   (** best makespan per generation *)
-  wall_seconds : float;   (** {!Repro_util.Clock} wall time *)
 }
 
 val decode : App.t -> Platform.t -> individual -> Searchgraph.spec
@@ -68,14 +40,12 @@ val fitness : App.t -> Platform.t -> individual -> float
 
 val engine :
   ?population:int -> ?explore_impls:bool -> unit -> Repro_dse.Engine.t
-(** An engine over generations: one budget iteration = one generation.
-    Registered as ["ga"] (implementations explored, the default) and as
-    ["ga-spatial"] ([~explore_impls:false]).  All other knobs keep
-    {!default_config}; the seed and generation budget come from the
-    engine context. *)
-
-val run :
-  ?progress:(generation:int -> best:float -> unit) -> config -> App.t ->
-  Platform.t -> result
-(** Thin wrapper over the engine; [config.generations] is the iteration
-    budget and [config.seed] the context seed. *)
+(** An engine over generations: one budget iteration = one generation
+    (120 by default).  Registered as ["ga"] (implementations explored,
+    the default) and as ["ga-spatial"] ([~explore_impls:false]: every
+    individual keeps the smallest implementation, the spatial-only GA
+    closest to [6]'s published description).  [population] defaults to
+    300, the size [6] quotes; the other knobs are fixed (crossover 0.9,
+    per-gene mutation 0.02, tournament 3, elite 2) and the seed and
+    generation budget come from the engine context.  The per-generation
+    best makespan reaches [context.observe] as each probe's [cost]. *)

@@ -2,30 +2,14 @@
     same move set as the annealer — the ablation isolating the value of
     accepting uphill moves. *)
 
-open Repro_taskgraph
-open Repro_arch
-
-type config = {
-  seed : int;
-  moves_per_climb : int;   (** move attempts before declaring a local
-                               optimum / exhausting the climb *)
-  restarts : int;
-}
-
-val default_config : config
-(** seed 1, 5000 moves per climb, 4 restarts. *)
-
-type result = {
-  best : Repro_dse.Solution.t;
-  best_makespan : float;
-  moves_tried : int;
-  wall_seconds : float;   (** {!Repro_util.Clock} wall time *)
-}
-
 val engine : Repro_dse.Engine.t
 (** Registered as ["hill"]; one budget iteration = one proposed move,
     with a fresh random restart every 5000 moves. *)
 
-val run : config -> App.t -> Platform.t -> result
-(** Thin wrapper over the engine with an explicit climb length and
-    restart count (budget = [moves_per_climb * restarts]). *)
+val engine_with : ?moves_per_climb:int -> unit -> Repro_dse.Engine.t
+(** The same engine (still named ["hill"]) restarting every
+    [moves_per_climb] moves (default 5000), so a budget of
+    [moves_per_climb * k] iterations runs exactly [k] climbs.  The
+    checkpoint does not record the climb length: resume with the same
+    one.  Raises [Invalid_argument] at run time when
+    [moves_per_climb < 1]. *)

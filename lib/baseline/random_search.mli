@@ -2,20 +2,7 @@
     baseline, and the control showing how much structure the annealer
     exploits. *)
 
-open Repro_taskgraph
-open Repro_arch
-
-type result = {
-  best : Repro_dse.Solution.t;
-  best_makespan : float;
-  samples : int;
-  wall_seconds : float;   (** {!Repro_util.Clock} wall time *)
-}
-
 val engine : Repro_dse.Engine.t
 (** Registered as ["random"]; one budget iteration = one random
-    solution drawn and evaluated. *)
-
-val run : seed:int -> samples:int -> App.t -> Platform.t -> result
-(** Draw [samples] random solutions ({!Repro_dse.Solution.random}) and
-    keep the best feasible one.  Thin wrapper over {!engine}. *)
+    solution ({!Repro_dse.Solution.random}) drawn and evaluated, the
+    best feasible one kept. *)

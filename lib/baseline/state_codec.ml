@@ -14,20 +14,17 @@ let solution_plus ~engine ~version ~tag aux app platform =
       (fun s -> Printf.sprintf "%s %h\n%s" tag !aux (Solution.encode s));
     decode =
       (fun text ->
-        match String.index_opt text '\n' with
-        | None -> Error (Printf.sprintf "missing %s line" tag)
-        | Some i ->
-          let first = String.sub text 0 i in
-          let rest = String.sub text (i + 1) (String.length text - i - 1) in
-          (match String.split_on_char ' ' first with
-           | [ t; v ] when t = tag -> (
-             match float_of_string_opt v with
-             | None -> Error (Printf.sprintf "bad %s value" tag)
-             | Some x -> (
-               match Solution.decode app platform rest with
-               | Ok s ->
-                 aux := x;
-                 Ok s
-               | Error _ as e -> e))
-           | _ -> Error (Printf.sprintf "expected a %s line" tag)));
+        let ( let* ) = Result.bind in
+        let* values, lines =
+          Repro_util.Checkpoint.field tag float_of_string_opt
+            (String.split_on_char '\n' text)
+        in
+        let* x =
+          match values with
+          | [ x ] -> Ok x
+          | _ -> Error (Printf.sprintf "bad %s line" tag)
+        in
+        let* s = Solution.decode app platform (String.concat "\n" lines) in
+        aux := x;
+        Ok s);
   }

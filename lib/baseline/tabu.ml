@@ -3,29 +3,7 @@ module Moves = Repro_dse.Moves
 module Engine = Repro_dse.Engine
 module Rng = Repro_util.Rng
 
-type config = {
-  seed : int;
-  iterations : int;
-  neighbourhood : int;
-  tenure : int;
-  aspiration : bool;
-}
-
-let default_config =
-  {
-    seed = 1;
-    iterations = 4_000;
-    neighbourhood = 24;
-    tenure = 20;
-    aspiration = false;
-  }
-
-type result = {
-  best : Solution.t;
-  best_makespan : float;
-  moves_applied : int;
-  wall_seconds : float;
-}
+let default_neighbourhood = 24
 
 (* The tabu list is a multiset: the same state hash can legitimately be
    remembered twice within one tenure window (the search can revisit a
@@ -207,9 +185,8 @@ let engine_run ~neighbourhood ~tenure ~aspiration (ctx : Engine.context) =
           evaluations = !evals })
     ~snapshot:Solution.snapshot
 
-let engine_with ?(neighbourhood = default_config.neighbourhood)
-    ?(tenure = default_config.tenure)
-    ?(aspiration = default_config.aspiration) () : Engine.t =
+let engine_with ?(neighbourhood = default_neighbourhood) ?(tenure = 20)
+    ?(aspiration = false) () : Engine.t =
   (module struct
     let name = "tabu"
     let describe = "steepest-descent tabu search over visited-state hashes"
@@ -226,21 +203,3 @@ let engine_with ?(neighbourhood = default_config.neighbourhood)
   end : Engine.S)
 
 let engine : Engine.t = engine_with ()
-
-let run config app platform =
-  if config.iterations < 1 || config.neighbourhood < 1 then
-    invalid_arg "Tabu.run: non-positive budget";
-  let ctx =
-    Engine.context ~app ~platform ~seed:config.seed
-      ~iterations:config.iterations ()
-  in
-  let o =
-    engine_run ~neighbourhood:config.neighbourhood ~tenure:config.tenure
-      ~aspiration:config.aspiration ctx
-  in
-  {
-    best = o.Engine.best;
-    best_makespan = o.Engine.best_cost;
-    moves_applied = o.Engine.accepted;
-    wall_seconds = o.Engine.wall_seconds;
-  }

@@ -8,34 +8,8 @@
     Its quality is indeed sensitive to [tenure] — the `compare`
     tooling can sweep it. *)
 
-open Repro_taskgraph
-open Repro_arch
-
-type config = {
-  seed : int;
-  iterations : int;       (** outer iterations (one applied move each) *)
-  neighbourhood : int;    (** candidate moves sampled per iteration *)
-  tenure : int;           (** applied moves a visited state stays tabu *)
-  aspiration : bool;
-  (** aspiration criterion, in its state-tabu form: a tabu candidate
-      is admissible anyway when it strictly improves on the current
-      working cost, so the search may backtrack to a strictly better
-      configuration it is otherwise forbidden to revisit.  (The
-      textbook better-than-best-known form is provably inert when the
-      tabu attribute is the full visited state: any tabu candidate was
-      visited, so the incumbent is already at most its cost.) *)
-}
-
-val default_config : config
-(** seed 1, 4000 iterations, 24 candidates, tenure 20, aspiration
-    off (the historical behaviour). *)
-
-type result = {
-  best : Repro_dse.Solution.t;
-  best_makespan : float;
-  moves_applied : int;
-  wall_seconds : float;   (** {!Repro_util.Clock} wall time *)
-}
+val default_neighbourhood : int
+(** Candidate moves sampled per iteration by {!engine}: 24. *)
 
 (** Sliding-window tabu list with multiset semantics: remembering the
     same hash twice keeps it tabu until {e both} occurrences age out.
@@ -63,8 +37,14 @@ val engine_with :
   ?neighbourhood:int -> ?tenure:int -> ?aspiration:bool -> unit ->
   Repro_dse.Engine.t
 (** The same engine with explicit knobs (still named ["tabu"]); the
-    tenure-ablation bench and the aspiration tests go through this. *)
-
-val run : config -> App.t -> Platform.t -> result
-(** Thin wrapper over the engine with explicit neighbourhood size and
-    tenure. *)
+    tenure-ablation bench and the aspiration tests go through this.
+    [neighbourhood] (default {!default_neighbourhood}) is the number of
+    candidate moves sampled per iteration, [tenure] (default 20) the
+    number of applied moves a visited state stays tabu.  [aspiration]
+    (default off) is the aspiration criterion in its state-tabu form: a
+    tabu candidate is admissible anyway when it strictly improves on
+    the current working cost, so the search may backtrack to a strictly
+    better configuration it is otherwise forbidden to revisit.  (The
+    textbook better-than-best-known form is provably inert when the
+    tabu attribute is the full visited state: any tabu candidate was
+    visited, so the incumbent is already at most its cost.) *)

@@ -461,10 +461,11 @@ let result_of_outcome (o : Engine.outcome) =
        | Engine.Interrupted -> Annealer.Interrupted);
   }
 
-let supervise_restarts ?trace ?(jobs = 1) ?restart_timeout ?should_stop
-    ?(retries = 0) ?engine ?restart_checkpoint ?warm_start ~restarts config
-    application platform =
-  if restarts < 1 then invalid_arg "Explorer.explore_restarts: restarts < 1";
+let explore_restarts_supervised ?trace ?(jobs = 1) ?restart_timeout
+    ?should_stop ?(retries = 0) ?engine ?restart_checkpoint ?warm_start
+    ~restarts config application platform =
+  if restarts < 1 then
+    invalid_arg "Explorer.explore_restarts_supervised: restarts < 1";
   (* Each chain's seed is a pure function of its index, and results are
      collected in index order, so the winner (first strict minimum) and
      the cost list are identical for every [jobs] value. *)
@@ -545,26 +546,6 @@ let supervise_restarts ?trace ?(jobs = 1) ?restart_timeout ?should_stop
         0 statuses;
   }
 
-let explore_restarts_supervised = supervise_restarts
-
-let explore_restarts ?trace ?jobs ?engine ~restarts config application
-    platform =
-  let report =
-    supervise_restarts ?trace ?jobs ?engine ~restarts config application
-      platform
-  in
-  match report.best_result with
-  | Some best -> (best, List.map snd report.restart_costs)
-  | None ->
-    (* Strict entry point: with every restart lost there is nothing to
-       degrade to, so surface the first recorded failure. *)
-    let reason =
-      Array.to_list report.restart_statuses
-      |> List.find_map (function Item_failed e -> Some e | _ -> None)
-      |> Option.value ~default:"all restarts lost"
-    in
-    failwith (Printf.sprintf "Explorer.explore_restarts: %s" reason)
-
 let pareto_frontier candidates =
   let dominated point =
     List.exists
@@ -644,9 +625,3 @@ let cost_performance_frontier_supervised ?(seed = 1) ?(iterations = 20_000)
         (fun n s -> match s with Item_done -> n | _ -> n + 1)
         0 statuses;
   }
-
-let cost_performance_frontier ?seed ?iterations ?jobs ?engine application
-    catalogue =
-  (cost_performance_frontier_supervised ?seed ?iterations ?jobs ?engine
-     application catalogue)
-    .frontier

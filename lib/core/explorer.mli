@@ -148,8 +148,8 @@ type restarts_report = {
   restart_statuses : item_status array;
   (** one verdict per restart *)
   degraded : int;
-  (** restarts that did not complete cleanly; [0] means the report
-      equals the unsupervised result *)
+  (** restarts that did not complete cleanly; [0] means every restart
+      completed *)
 }
 
 val explore_restarts_supervised :
@@ -158,8 +158,19 @@ val explore_restarts_supervised :
   ?restart_checkpoint:(int -> Engine.checkpoint) ->
   ?warm_start:Solution.t ->
   restarts:int -> config -> App.t -> Platform.t -> restarts_report
-(** Supervised multi-start exploration: one raising or overrunning
-    chain never costs the others their results.  Each restart runs
+(** Run [restarts] independent explorations (seeds derived from the
+    configured one) and report the best one together with every run's
+    best cost — the usual defense against annealing variance, and the
+    data behind the paper's Fig. 3 averaging.  Raises
+    [Invalid_argument] when [restarts < 1].
+
+    [jobs] (default 1) runs the chains on that many domains
+    ({!Repro_util.Parallel}); every chain's seed derives from its index
+    and results are folded in index order, so the best solution, the
+    cost list and the trace are bit-identical for every [jobs].
+
+    The run is supervised: one raising or overrunning chain never
+    costs the others their results.  Each restart runs
     under [restart_timeout] wall seconds (cooperatively — the deadline
     is the engine's stop probe, so an over-budget chain flushes and
     yields best-so-far at an iteration boundary), is retried [retries]
@@ -180,32 +191,15 @@ val explore_restarts_supervised :
     [restart_checkpoint] makes the supervised run crash-safe: it maps
     a restart index to that chain's {!Engine.checkpoint} (path,
     cadence, resume mode).  Generic engines receive it through their
-    context, the native annealer through {!explore}.  Because per-restart seeds are derived from the index,
-    each chain's checkpoint resumes exactly that chain.
+    context, the native annealer through {!explore}.  Because
+    per-restart seeds are derived from the index, each chain's
+    checkpoint resumes exactly that chain.
 
     [warm_start] hands every restart the same donated incumbent
     (see {!read_incumbent}): generic engines receive it through
     [context.warm_start], the native annealer as its initial
     solution.  A resumed chain ignores it — the warm start is baked
     into the checkpointed state. *)
-
-val explore_restarts :
-  ?trace:Trace.t -> ?jobs:int -> ?engine:Engine.t -> restarts:int ->
-  config -> App.t -> Platform.t -> result * float list
-(** Run [restarts] independent explorations (seeds derived from the
-    configured one) and return the best result together with every
-    run's best cost — the usual defense against annealing variance,
-    and the data behind the paper's Fig. 3 averaging.  The trace, when
-    given, records the run of index 0; prefer single runs for traces.
-
-    [jobs] (default 1) runs the chains on that many domains
-    ({!Repro_util.Parallel}); every chain's seed derives from its index
-    and results are folded in index order, so the best solution, the
-    cost list and the trace are bit-identical for every [jobs].
-
-    Strict wrapper over {!explore_restarts_supervised}: survivors are
-    aggregated silently, but when {e every} restart is lost the first
-    recorded failure surfaces as [Failure]. *)
 
 type frontier_point = {
   platform : Platform.t;
@@ -230,21 +224,18 @@ val cost_performance_frontier_supervised :
   ?seed:int -> ?iterations:int -> ?jobs:int -> ?device_timeout:float ->
   ?should_stop:(unit -> bool) -> ?retries:int -> ?engine:Engine.t ->
   App.t -> Platform.t list -> frontier_report
-(** Supervised {!cost_performance_frontier}: each device explores under
-    its own [device_timeout] and failure isolation, and the report
-    labels exactly which devices the frontier covers.  Candidates never
-    interact before the final dominance pass, so the degraded frontier
-    is the exact frontier of the surviving sub-catalogue.  [engine]
-    selects the search engine per device (default: the annealer's
-    native path); every device gets the same seed and iteration
-    budget, whichever engine runs. *)
-
-val cost_performance_frontier :
-  ?seed:int -> ?iterations:int -> ?jobs:int -> ?engine:Engine.t ->
-  App.t -> Platform.t list -> frontier_point list
 (** Explore the application once per catalogue platform (makespan
     objective) and keep the Pareto-dominant (platform cost, makespan)
     points, sorted by increasing cost — the designer-facing output of
     the paper's cost-minimization story.  Default budget: 20000
     iterations per platform; [jobs] explores catalogue devices in
-    parallel with identical output. *)
+    parallel with identical output.
+
+    Each device explores under its own [device_timeout] and failure
+    isolation, and the report labels exactly which devices the
+    frontier covers.  Candidates never
+    interact before the final dominance pass, so the degraded frontier
+    is the exact frontier of the surviving sub-catalogue.  [engine]
+    selects the search engine per device (default: the annealer's
+    native path); every device gets the same seed and iteration
+    budget, whichever engine runs. *)

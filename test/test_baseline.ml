@@ -5,6 +5,9 @@ module Ga = Repro_baseline.Ga
 module Greedy = Repro_baseline.Greedy
 module Random_search = Repro_baseline.Random_search
 module Hill_climb = Repro_baseline.Hill_climb
+module Tabu = Repro_baseline.Tabu
+module Engine = Repro_dse.Engine
+module Solution = Repro_dse.Solution
 module Searchgraph = Repro_sched.Searchgraph
 module Md = Repro_workloads.Motion_detection
 
@@ -73,8 +76,10 @@ let test_clustering_respects_is_hw () =
 
 (* --- GA --- *)
 
-let ga_config =
-  { Ga.default_config with population = 30; generations = 15; seed = 3 }
+(* Every baseline runs through the uniform engine contract. *)
+let run ?observe engine ~seed ~iterations app platform =
+  Engine.run engine
+    (Engine.context ?observe ~app ~platform ~seed ~iterations ())
 
 let test_ga_decode_feasible () =
   let app = app () in
@@ -103,36 +108,46 @@ let test_ga_decode_oversized_to_sw () =
 let test_ga_improves () =
   let app = app () in
   let platform = platform () in
-  let result = Ga.run ga_config app platform in
+  let generations = 15 in
+  let bests = ref [] in
+  let observe (p : Engine.probe) = bests := p.Engine.cost :: !bests in
+  let outcome =
+    run ~observe (Ga.engine ~population:30 ()) ~seed:3 ~iterations:generations
+      app platform
+  in
+  let history = outcome.Engine.initial_cost :: List.rev !bests in
   let all_sw = App.total_sw_time app in
   Alcotest.(check bool) "beats all-software" true
-    (result.Ga.best_eval.Searchgraph.makespan < all_sw);
+    (outcome.Engine.best_cost < all_sw);
   Alcotest.(check bool) "history is monotone" true
     (let rec monotone = function
        | a :: (b :: _ as rest) -> a >= b -. 1e-12 && monotone rest
        | [ _ ] | [] -> true
      in
-     monotone result.Ga.history);
+     monotone history);
   Alcotest.(check int) "history has one entry per generation + initial"
-    (ga_config.Ga.generations + 1)
-    (List.length result.Ga.history)
+    (generations + 1) (List.length history)
 
 let test_ga_on_motion_detection () =
-  let app = Md.app () in
-  let platform = Md.platform () in
-  let config = { Ga.default_config with population = 60; generations = 25 } in
-  let result = Ga.run config app platform in
+  let outcome =
+    run (Ga.engine ~population:60 ()) ~seed:1 ~iterations:25 (Md.app ())
+      (Md.platform ())
+  in
   Alcotest.(check bool) "meets the 40 ms constraint" true
-    (result.Ga.best_eval.Searchgraph.makespan < 40.0)
+    (outcome.Engine.best_cost < 40.0)
 
 let test_ga_spatial_only () =
   let app = app () in
-  let platform = platform () in
-  let config = { ga_config with Ga.explore_impls = false } in
-  let result = Ga.run config app platform in
+  let outcome =
+    run
+      (Ga.engine ~population:30 ~explore_impls:false ())
+      ~seed:3 ~iterations:15 app (platform ())
+  in
   (* Every implementation gene stays at the smallest variant. *)
   Alcotest.(check bool) "impl genes untouched" true
-    (Array.for_all (fun k -> k = 0) result.Ga.best.Ga.impl)
+    (List.for_all
+       (fun v -> Solution.impl_index outcome.Engine.best v = 0)
+       (List.init (App.size app) Fun.id))
 
 (* --- greedy --- *)
 
@@ -149,38 +164,38 @@ let test_greedy_fraction () =
 
 let test_greedy_run () =
   let app = app () in
-  let result = Greedy.run app (platform ()) in
+  let outcome = run Greedy.engine ~seed:0 ~iterations:11 app (platform ()) in
   Alcotest.(check bool) "beats or ties all-software" true
-    (result.Greedy.eval.Searchgraph.makespan <= App.total_sw_time app);
-  Alcotest.(check bool) "fraction within range" true
-    (result.Greedy.hw_fraction >= 0.0 && result.Greedy.hw_fraction <= 1.0)
+    (outcome.Engine.best_cost <= App.total_sw_time app);
+  Alcotest.(check int) "one sweep point per iteration" 11
+    outcome.Engine.iterations_run
 
 (* --- random search --- *)
 
 let test_random_search () =
   let app = app () in
-  let result = Random_search.run ~seed:1 ~samples:200 app (platform ()) in
+  let outcome =
+    run Random_search.engine ~seed:1 ~iterations:200 app (platform ())
+  in
   Alcotest.(check bool) "no worse than all-software" true
-    (result.Random_search.best_makespan <= App.total_sw_time app);
-  Alcotest.(check int) "samples counted" 200 result.Random_search.samples
+    (outcome.Engine.best_cost <= App.total_sw_time app);
+  Alcotest.(check int) "samples counted" 200 outcome.Engine.iterations_run
 
 (* --- tabu search --- *)
 
 let test_tabu () =
   let app = app () in
-  let config =
-    { Repro_baseline.Tabu.seed = 4; iterations = 300; neighbourhood = 12;
-      tenure = 15; aspiration = false }
+  let outcome =
+    run
+      (Tabu.engine_with ~neighbourhood:12 ~tenure:15 ())
+      ~seed:4 ~iterations:300 app (platform ())
   in
-  let result = Repro_baseline.Tabu.run config app (platform ()) in
   Alcotest.(check bool) "beats all-software" true
-    (result.Repro_baseline.Tabu.best_makespan < App.total_sw_time app);
-  Alcotest.(check bool) "applied moves" true
-    (result.Repro_baseline.Tabu.moves_applied > 0);
+    (outcome.Engine.best_cost < App.total_sw_time app);
+  Alcotest.(check bool) "applied moves" true (outcome.Engine.accepted > 0);
   Alcotest.(check bool) "best solution consistent" true
     (abs_float
-       (Repro_dse.Solution.makespan result.Repro_baseline.Tabu.best
-        -. result.Repro_baseline.Tabu.best_makespan)
+       (Solution.makespan outcome.Engine.best -. outcome.Engine.best_cost)
      < 1e-9)
 
 (* Regression for the tenure-eviction bug: remembering the same state
@@ -189,7 +204,7 @@ let test_tabu () =
    Hashtbl.replace-based list collapsed the duplicate, so the eviction
    un-tabooed a state that was still within tenure.) *)
 let test_tabu_tenure_eviction () =
-  let module Tenure = Repro_baseline.Tabu.Tenure in
+  let module Tenure = Tabu.Tenure in
   let t = Tenure.create 3 in
   Tenure.remember t 1;
   Tenure.remember t 2;
@@ -206,15 +221,13 @@ let test_tabu_tenure_eviction () =
 
 let test_tabu_deterministic () =
   let app = app () in
-  let config =
-    { Repro_baseline.Tabu.seed = 9; iterations = 100; neighbourhood = 8;
-      tenure = 10; aspiration = false }
+  let best () =
+    (run
+       (Tabu.engine_with ~neighbourhood:8 ~tenure:10 ())
+       ~seed:9 ~iterations:100 app (platform ()))
+      .Engine.best_cost
   in
-  let run () =
-    (Repro_baseline.Tabu.run config app (platform ()))
-      .Repro_baseline.Tabu.best_makespan
-  in
-  Alcotest.(check (float 1e-12)) "same seed same result" (run ()) (run ())
+  Alcotest.(check (float 1e-12)) "same seed same result" (best ()) (best ())
 
 (* Aspiration regression: with everything else fixed, switching the
    aspiration criterion on strictly improves the best cost on this
@@ -224,12 +237,11 @@ let test_tabu_deterministic () =
    search backtrack out of a stalled window it is otherwise forbidden
    to re-enter. *)
 let test_tabu_aspiration_improves () =
-  let module Engine = Repro_dse.Engine in
   let app = (List.assoc "sobel" Repro_workloads.Suite.named) () in
   let platform = Repro_workloads.Suite.platform_for app in
   let best aspiration =
     let engine =
-      Repro_baseline.Tabu.engine_with ~neighbourhood:4 ~tenure:8 ~aspiration ()
+      Tabu.engine_with ~neighbourhood:4 ~tenure:8 ~aspiration ()
     in
     let ctx = Engine.context ~app ~platform ~seed:12 ~iterations:30 () in
     (Engine.run engine ctx).Engine.best_cost
@@ -244,7 +256,7 @@ let test_tabu_aspiration_improves () =
   let default_best =
     let ctx = Engine.context ~app ~platform ~seed:12 ~iterations:30 () in
     (Engine.run
-       (Repro_baseline.Tabu.engine_with ~neighbourhood:4 ~tenure:8 ())
+       (Tabu.engine_with ~neighbourhood:4 ~tenure:8 ())
        ctx)
       .Engine.best_cost
   in
@@ -254,16 +266,18 @@ let test_tabu_aspiration_improves () =
 
 let test_hill_climb () =
   let app = app () in
-  let config = { Hill_climb.seed = 2; moves_per_climb = 500; restarts = 2 } in
-  let result = Hill_climb.run config app (platform ()) in
+  let outcome =
+    run
+      (Hill_climb.engine_with ~moves_per_climb:500 ())
+      ~seed:2 ~iterations:1000 app (platform ())
+  in
   Alcotest.(check bool) "no worse than all-software" true
-    (result.Hill_climb.best_makespan <= App.total_sw_time app);
-  Alcotest.(check int) "moves counted" 1000 result.Hill_climb.moves_tried;
+    (outcome.Engine.best_cost <= App.total_sw_time app);
+  Alcotest.(check int) "moves counted" 1000 outcome.Engine.iterations_run;
   Alcotest.(check bool) "result solution evaluates to the reported makespan"
     true
     (abs_float
-       (Repro_dse.Solution.makespan result.Hill_climb.best
-        -. result.Hill_climb.best_makespan)
+       (Solution.makespan outcome.Engine.best -. outcome.Engine.best_cost)
      < 1e-9)
 
 let suite =

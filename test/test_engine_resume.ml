@@ -195,6 +195,28 @@ let damage_tests =
         required_fails "foreign kind" (engine ()) path [ "dse-run" ];
         Sys.remove path);
     Alcotest.test_case
+      "required resume: wrong state-line tag is named in the error" `Quick
+      (fun () ->
+        (* A sound envelope (right kind, engine, version, fingerprint
+           and CRC) whose greedy state line carries hill's tag: the
+           codec must reject it by name. *)
+        let path = tmp_ckpt "wrong-tag" in
+        write_checkpoint (engine ()) path;
+        let codec tag =
+          Repro_baseline.State_codec.solution_plus ~engine:"greedy"
+            ~version:1 ~tag (ref 0.0) (app ()) (platform ())
+        in
+        let fingerprint = Engine.fingerprint (context ()) in
+        (match
+           Engine.Envelope.load (codec "sweep") ~fingerprint (app ())
+             (platform ()) path
+         with
+         | Error msg -> Alcotest.fail msg
+         | Ok envelope ->
+           Engine.Envelope.save (codec "climb") ~fingerprint path envelope);
+        required_fails "wrong tag" (engine ()) path [ "sweep" ];
+        Sys.remove path);
+    Alcotest.test_case
       "if-exists resume: unusable checkpoint falls back to a clean run"
       `Quick
       (fun () ->

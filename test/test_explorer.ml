@@ -136,14 +136,23 @@ let test_explore_restarts () =
   let app = Md.app () in
   let platform = Md.platform () in
   let config = small_budget ~seed:8 ~iterations:2_000 () in
-  let best, costs = Explorer.explore_restarts ~restarts:4 config app platform in
+  let report =
+    Explorer.explore_restarts_supervised ~restarts:4 config app platform
+  in
+  let costs = List.map snd report.Explorer.restart_costs in
   Alcotest.(check int) "one cost per restart" 4 (List.length costs);
-  Alcotest.(check (float 1e-12)) "best is the minimum"
-    (List.fold_left Float.min infinity costs)
-    best.Explorer.best_cost;
+  Alcotest.(check int) "none degraded" 0 report.Explorer.degraded;
+  (match report.Explorer.best_result with
+   | None -> Alcotest.fail "no best reported"
+   | Some best ->
+     Alcotest.(check (float 1e-12)) "best is the minimum"
+       (List.fold_left Float.min infinity costs)
+       best.Explorer.best_cost);
   Alcotest.check_raises "restarts < 1"
-    (Invalid_argument "Explorer.explore_restarts: restarts < 1") (fun () ->
-      ignore (Explorer.explore_restarts ~restarts:0 config app platform))
+    (Invalid_argument "Explorer.explore_restarts_supervised: restarts < 1")
+    (fun () ->
+      ignore
+        (Explorer.explore_restarts_supervised ~restarts:0 config app platform))
 
 let test_serialized_objective () =
   let app = Md.app () in
@@ -190,9 +199,11 @@ let test_min_period_objective () =
 let test_cost_performance_frontier () =
   let app = Md.app () in
   let catalogue = List.map (fun n -> Md.platform ~n_clb:n ()) [ 200; 800; 5000 ] in
-  let frontier =
-    Explorer.cost_performance_frontier ~seed:4 ~iterations:4_000 app catalogue
+  let { Explorer.frontier; devices_lost; _ } =
+    Explorer.cost_performance_frontier_supervised ~seed:4 ~iterations:4_000
+      app catalogue
   in
+  Alcotest.(check int) "no device lost" 0 devices_lost;
   Alcotest.(check bool) "non-empty" true (frontier <> []);
   (* Sorted by cost and Pareto-consistent: makespan strictly improves
      along the increasing-cost frontier. *)
@@ -257,18 +268,11 @@ let test_supervised_restarts_all_lost () =
   in
   Alcotest.(check bool) "no best" true (report.Explorer.best_result = None);
   Alcotest.(check int) "all degraded" 2 report.Explorer.degraded;
-  (* The strict wrapper surfaces the first failure instead. *)
-  Fault.arm "worker:0, worker:1";
-  match
-    Explorer.explore_restarts ~restarts:2
-      (small_budget ~seed:5 ~iterations:400 ())
-      app platform
-  with
-  | _ -> Alcotest.fail "strict entry point degraded silently"
-  | exception Failure msg ->
-    Alcotest.(check bool) "names the module" true
-      (String.length msg > 25
-       && String.sub msg 0 25 = "Explorer.explore_restarts")
+  Alcotest.(check (list int)) "no survivor costs" []
+    (List.map fst report.Explorer.restart_costs);
+  Alcotest.(check (list string)) "statuses" [ "failed"; "failed" ]
+    (Array.to_list report.Explorer.restart_statuses
+     |> List.map Explorer.item_status_name)
 
 let test_supervised_frontier_matches_a_priori_exclusion () =
   let module Fault = Repro_util.Fault in
@@ -290,8 +294,9 @@ let test_supervised_frontier_matches_a_priori_exclusion () =
      |> List.map Explorer.item_status_name);
   Fault.disarm ();
   let excluded =
-    Explorer.cost_performance_frontier ~seed:4 ~iterations:2_000 app
-      [ device 200; device 5000 ]
+    (Explorer.cost_performance_frontier_supervised ~seed:4 ~iterations:2_000
+       app [ device 200; device 5000 ])
+      .Explorer.frontier
   in
   let shape frontier =
     List.map
@@ -338,7 +343,7 @@ let suite =
       test_cost_performance_frontier;
     Alcotest.test_case "supervised restarts degrade over survivors" `Quick
       test_supervised_restarts_degrade;
-    Alcotest.test_case "all restarts lost: report vs strict" `Quick
+    Alcotest.test_case "all restarts lost: empty report" `Quick
       test_supervised_restarts_all_lost;
     Alcotest.test_case "degraded frontier = a-priori exclusion" `Quick
       test_supervised_frontier_matches_a_priori_exclusion;

@@ -1,6 +1,7 @@
 (* The domain pool: ordered collection, per-index seeding, exception
    propagation, and the end-to-end determinism contract of
-   Explorer.explore_restarts (jobs=1 and jobs=4 must agree bitwise). *)
+   Explorer.explore_restarts_supervised (jobs=1 and jobs=4 must agree
+   bitwise). *)
 
 module Parallel = Repro_util.Parallel
 module Rng = Repro_util.Rng
@@ -165,15 +166,19 @@ let test_restarts_deterministic () =
   let platform = Md.platform ~n_clb:2000 () in
   let run jobs =
     let trace = Trace.create () in
-    let best, costs =
-      Explorer.explore_restarts ~trace ~jobs ~restarts:3 (small_config ~seed:5)
-        app platform
+    let report =
+      Explorer.explore_restarts_supervised ~trace ~jobs ~restarts:3
+        (small_config ~seed:5) app platform
     in
-    (best, costs, Trace.entries trace)
+    match report.Explorer.best_result with
+    | Some best when report.Explorer.degraded = 0 ->
+      (best, report.Explorer.restart_costs, Trace.entries trace)
+    | Some _ | None -> Alcotest.failf "jobs=%d: a restart was lost" jobs
   in
   let best1, costs1, trace1 = run 1 in
   let best4, costs4, trace4 = run 4 in
-  Alcotest.(check (list (float 0.0))) "per-chain costs identical" costs1 costs4;
+  Alcotest.(check (list (pair int (float 0.0)))) "per-chain costs identical"
+    costs1 costs4;
   Alcotest.(check (float 0.0)) "winner cost identical"
     best1.Explorer.best_cost best4.Explorer.best_cost;
   Alcotest.(check string) "winning solution identical"

@@ -10,6 +10,7 @@ module Atomic_io = Repro_util.Atomic_io
 module Job = Repro_serve.Job
 module Spool = Repro_serve.Spool
 module Daemon = Repro_serve.Daemon
+module Lease = Repro_serve.Lease
 
 let () = Log.set_level Log.Error
 
@@ -193,12 +194,14 @@ let test_daemon_drains_and_quarantines () =
     (Sys.file_exists (Spool.failed_path spool "poison.json"));
   Alcotest.(check int) "queue empty" 0 (Spool.queue_depth spool);
   Alcotest.(check (list string)) "no stale claims" [] (Spool.in_work spool);
-  (* Heartbeat reflects the final state. *)
-  match Spool.read_heartbeat spool with
-  | Error msg -> Alcotest.fail msg
-  | Ok fields ->
+  (* The daemon's lease, its heartbeat, reflects the final state. *)
+  match Lease.list ~dir:spool.Spool.daemons_dir with
+  | [ (_file, Ok view) ] ->
     Alcotest.(check (option string)) "heartbeat state" (Some "drained")
-      (Json.str_field fields "state")
+      (Json.str_field view.Lease.fields "state")
+  | [ (_file, Error msg) ] -> Alcotest.fail msg
+  | leases ->
+    Alcotest.failf "expected one daemon lease, found %d" (List.length leases)
 
 let test_daemon_timeout_salvages_best_so_far () =
   with_spool @@ fun spool ->
