@@ -4,7 +4,6 @@
 
 module Explorer = Repro_dse.Explorer
 module Solution = Repro_dse.Solution
-module Annealer = Repro_anneal.Annealer
 module Interrupt = Repro_util.Interrupt
 module Clock = Repro_util.Clock
 module Atomic_io = Repro_util.Atomic_io
@@ -33,6 +32,10 @@ let exits =
 exception Usage_error of string
 
 let fail fmt = Printf.ksprintf (fun msg -> raise (Usage_error msg)) fmt
+
+(* A library [Error] (unknown engine name, unusable checkpoint) is a
+   usage error with the library's one-line message. *)
+let or_fail = function Ok v -> v | Error msg -> fail "%s" msg
 
 (* Parser errors come out as "line N: message"; prefix the file so the
    user gets a clickable "file:N: message" location. *)
@@ -74,15 +77,6 @@ let should_stop ~time_budget =
     let expired = Clock.deadline ~seconds in
     fun () -> Interrupt.pending () || expired ()
 
-let exit_code_of_status = function
-  | Annealer.Complete -> exit_ok
-  | Annealer.Interrupted -> exit_interrupted
-
-(* Machine-readable result file: always written atomically, always
-   carries an explicit status ("complete" | "degraded" | "interrupted")
-   so a consumer can tell a finished campaign from a partial one.
-   Supervised multi-restart runs additionally list the per-restart
-   statuses and how many restarts were lost. *)
 (* The evaluation counters of a run, per move kind — the perf
    trajectory of the incremental evaluator, machine-readable across
    PRs.  Kinds that never evaluated are omitted. *)
@@ -122,35 +116,14 @@ let eval_stats_json (stats : Solution.eval_stats) =
       ("by_kind", Obj by_kind);
     ]
 
-let write_result ?(restart_statuses = []) ?(degraded = 0) path
-    ~(status : string) ~(result : Explorer.result) =
-  let eval = result.Explorer.best_eval in
-  let open Json in
+(* Machine-readable result file: always written atomically, always
+   carries an explicit status ("complete" | "degraded" | "interrupted")
+   so a consumer can tell a finished campaign from a partial one.
+   Supervised multi-restart runs additionally list the per-restart
+   statuses and how many restarts were lost. *)
+let write_result ?restart_statuses ?degraded path ~status ~result =
   let fields =
-    [
-      ("status", Str status);
-      ("best_cost", Num result.Explorer.best_cost);
-      ("makespan", Num eval.Repro_sched.Searchgraph.makespan);
-      ("n_contexts", num_int eval.Repro_sched.Searchgraph.n_contexts);
-      ("iterations_run", num_int result.Explorer.iterations_run);
-      ("accepted", num_int result.Explorer.accepted);
-      ("infeasible", num_int result.Explorer.infeasible);
-      ("wall_seconds", Num result.Explorer.wall_seconds);
-      (* CRC of the canonical solution text: lets two runs (e.g. a
-         clean one and a kill/resume one) be compared for bit-identity
-         without shipping the whole solution. *)
-      ( "solution",
-        Str
-          (Repro_util.Checkpoint.crc32_hex
-             (Repro_dse.Solution.encode result.Explorer.best)) );
-    ]
-    @ (match restart_statuses with
-       | [] -> []
-       | statuses ->
-         [
-           ("restart_statuses", Arr (List.map (fun s -> Str s) statuses));
-           ("degraded_restarts", num_int degraded);
-         ])
+    Explorer.result_fields ?restart_statuses ?degraded ~status result
     (* Keep this the last field: the faultcheck drill strips it (the
        counters are process-local, so a clean run and a kill/resume
        run legitimately differ here). *)
@@ -159,7 +132,7 @@ let write_result ?(restart_statuses = []) ?(degraded = 0) path
           eval_stats_json (Solution.eval_stats result.Explorer.best) );
       ]
   in
-  Atomic_io.write_string path (obj fields ^ "\n")
+  Atomic_io.write_string path (Json.obj fields ^ "\n")
 
 (* Restart-level checkpointing for the campaign tools (dse-sweep,
    dse-compare): the unit of work is an indexed cell whose result
@@ -289,22 +262,6 @@ let report_warnings ~what warnings =
   List.iter
     (fun (index, msg) -> Log.warn "%s %d: %s" what index msg)
     warnings
-
-(* Engine selection, shared by the tools that take --engine/--engines:
-   the registry is populated explicitly (never by linking side
-   effects), and an unknown name dies as a usage error listing what is
-   registered.  Portfolio specs (portfolio:race:sa+tabu:...) build the
-   meta-engine on the fly; [report] receives its final per-lane
-   verdicts. *)
-let find_engine ?report name =
-  let resolved =
-    if Repro_dse.Portfolio.is_spec name then
-      Repro_dse.Portfolio.of_spec ?report name
-    else Repro_dse.Engine_registry.find name
-  in
-  match resolved with
-  | Ok engine -> engine
-  | Error msg -> fail "%s" msg
 
 (* Wrap a command body: malformed inputs and usage mistakes become a
    one-line error on stderr and exit code 2 — no raw exception ever

@@ -116,7 +116,7 @@ let run clbs seed sa_iters ga_generations ga_population evals engines_spec
       |> List.map String.trim
       |> List.filter (fun name -> name <> "")
       |> List.map (fun name ->
-             let e = Cli_common.find_engine name in
+             let e = Cli_common.or_fail (Repro_dse.Portfolio.resolve name) in
              (Engine.name e, e))
   in
   if selected = [] then Cli_common.fail "--engines names no engine";

@@ -18,10 +18,7 @@ let run sizes iterations seed engine_name jobs device_timeout =
    | Some s when s <= 0.0 ->
      Cli_common.fail "--device-timeout wants a positive number of seconds"
    | _ -> ());
-  let engine =
-    if engine_name = "sa" then None
-    else Some (Cli_common.find_engine engine_name)
-  in
+  let engine = Cli_common.or_fail (Explorer.resolve_engine engine_name) in
   let catalogue = List.map (fun n_clb -> Md.platform ~n_clb ()) sizes in
   let report =
     Explorer.cost_performance_frontier_supervised ~seed ~iterations ~jobs

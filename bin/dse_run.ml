@@ -74,17 +74,12 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
          portfolio:e1+e2+..."
     else String.concat "" (engine_name :: extras)
   in
-  (* "sa" keeps its native path (bit-identical to historical runs); any
-     other name runs through the registry and the generic engine
-     driver. *)
   let lanes_seen = ref None in
   let engine =
-    if engine_name = "sa" then None
-    else
-      Some
-        (Cli_common.find_engine
-           ~report:(fun lanes -> lanes_seen := Some lanes)
-           engine_name)
+    Cli_common.or_fail
+      (Explorer.resolve_engine
+         ~report:(fun lanes -> lanes_seen := Some lanes)
+         engine_name)
   in
   let warm_start =
     match seed_from with
@@ -94,11 +89,9 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
         Cli_common.fail
           "--seed-from conflicts with --resume: a resumed run already \
            carries its state, the warm start is baked in";
-      (match Explorer.read_incumbent path app platform with
-       | Ok solution -> Some solution
-       | Error msg -> Cli_common.fail "%s" msg)
+      Some (Cli_common.or_fail (Explorer.read_incumbent path app platform))
   in
-  let supervised = restarts > 1 || restart_timeout <> None || engine <> None in
+  let supervised = restarts > 1 || restart_timeout <> None in
   if restarts > 1 && resume_path <> None then
     Cli_common.fail
       "--resume names a single chain's checkpoint; multi-restart runs \
@@ -167,18 +160,17 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
   in
   let should_stop = Cli_common.should_stop ~time_budget in
   let trace = Repro_dse.Trace.create ~every:10 () in
+  (match engine with
+   | Some e ->
+     Format.printf "engine: %s — %s@." (Engine.name e) (Engine.describe e)
+   | None -> ());
   let result, restart_statuses, degraded =
     if not supervised then
-      ( Explorer.explore ~trace ?initial:warm_start ?checkpoint ~should_stop
-          config app platform,
+      ( Explorer.explore ?engine ~trace ?initial:warm_start ?checkpoint
+          ~should_stop config app platform,
         [],
         0 )
     else begin
-      (match engine with
-       | Some e ->
-         Format.printf "engine: %s — %s@." (Engine.name e)
-           (Engine.describe e)
-       | None -> ());
       let report =
         Explorer.explore_restarts_supervised ~trace ~jobs ?engine
           ?restart_timeout ?restart_checkpoint ?warm_start ~should_stop
@@ -260,8 +252,8 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
        else Printf.sprintf "%.0f ms MISSED" d
      | None -> "none");
   (match result.Explorer.status with
-   | Annealer.Complete -> ()
-   | Annealer.Interrupted ->
+   | Engine.Complete -> ()
+   | Engine.Interrupted ->
      Format.printf
        "interrupted at iteration %d — reporting best-so-far%s@."
        result.Explorer.iterations_run
@@ -303,7 +295,7 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
   let overall_status =
     if supervised && should_stop () then "interrupted"
     else if degraded > 0 then "degraded"
-    else Annealer.status_name result.Explorer.status
+    else Engine.status_name result.Explorer.status
   in
   (match result_path with
    | Some path ->

@@ -1,9 +1,9 @@
 (* Fleet-safe batch job-queue service: drain, inspect and aggregate a
    spool directory of exploration jobs.
 
-     dse-serve ./spool --once               # drain the queue and exit
-     dse-serve ./spool --timeout 30         # per-job wall-clock budget
-     dse-serve ./spool --lease-ttl 10 &     # several daemons, one spool
+     dse-serve watch ./spool --once         # drain the queue and exit
+     dse-serve watch ./spool --timeout 30   # per-job wall-clock budget
+     dse-serve watch ./spool --lease-ttl 10 &  # several daemons, one spool
      dse-serve status ./spool               # live daemons + claims
      dse-serve submit ./spool CAMPAIGN.json # idempotent bulk enqueue
      dse-serve report ./spool CAMPAIGN.json # one aggregate JSON
@@ -36,7 +36,7 @@ module Json = Repro_util.Json_lite
 module Log = Repro_util.Log
 module Rng = Repro_util.Rng
 
-(* ---- watch (the default command) ---------------------------------- *)
+(* ---- watch -------------------------------------------------------- *)
 
 let watch spool_dir timeout retries no_backoff breaker_failures
     breaker_cooldown poll once max_jobs jobs checkpoint_every lease_ttl
@@ -408,15 +408,13 @@ let out_arg =
                  stdout"
            ~docv:"FILE")
 
-let watch_term =
-  Term.(const watch $ spool_arg $ timeout_arg $ retries_arg $ no_backoff_arg
-        $ breaker_failures_arg $ breaker_cooldown_arg $ poll_arg $ once_arg
-        $ max_jobs_arg $ jobs_arg $ checkpoint_every_arg $ lease_ttl_arg
-        $ daemon_id_arg $ no_fsck_arg $ promote_after_arg $ log_arg)
-
 let watch_cmd =
-  let doc = "drain the spool as one daemon of the fleet (the default)" in
-  Cmd.v (Cmd.info "watch" ~doc ~exits:Cli_common.exits) watch_term
+  let doc = "drain the spool as one daemon of the fleet" in
+  Cmd.v (Cmd.info "watch" ~doc ~exits:Cli_common.exits)
+    Term.(const watch $ spool_arg $ timeout_arg $ retries_arg $ no_backoff_arg
+          $ breaker_failures_arg $ breaker_cooldown_arg $ poll_arg $ once_arg
+          $ max_jobs_arg $ jobs_arg $ checkpoint_every_arg $ lease_ttl_arg
+          $ daemon_id_arg $ no_fsck_arg $ promote_after_arg $ log_arg)
 
 let status_cmd =
   let doc = "show the fleet: daemons (live/stale/exited), queue, claims" in
@@ -443,22 +441,8 @@ let report_cmd =
 let doc = "fleet-safe spool of exploration jobs with supervision"
 
 let group_cmd =
-  Cmd.group ~default:watch_term
+  Cmd.group
     (Cmd.info "dse-serve" ~doc ~exits:Cli_common.exits)
     [ watch_cmd; status_cmd; submit_cmd; report_cmd; fsck_cmd ]
 
-(* The historical shape stays valid: [dse-serve SPOOL --once ...]
-   (spool first, no subcommand).  A first argument that is a known
-   subcommand name or an option goes through the group; anything else
-   is a spool path for the default watch command. *)
-let legacy_cmd =
-  Cmd.v (Cmd.info "dse-serve" ~doc ~exits:Cli_common.exits) watch_term
-
-let () =
-  let subcommands = [ "watch"; "status"; "submit"; "report"; "fsck" ] in
-  let grouped =
-    Array.length Sys.argv < 2
-    || List.mem Sys.argv.(1) subcommands
-    || (Sys.argv.(1) <> "" && Sys.argv.(1).[0] = '-')
-  in
-  exit (Cmd.eval' (if grouped then group_cmd else legacy_cmd))
+let () = exit (Cmd.eval' group_cmd)

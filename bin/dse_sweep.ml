@@ -37,35 +37,21 @@ type point = {
 let sweep_cell ?engine app ~n_clb ~iters ~base_seed ~run ~stop =
   let platform = Md.platform ~n_clb () in
   let seed = base_seed + (run * 7919) + n_clb in
-  let result =
-    match engine with
-    | Some e ->
-      (* Generic engine per cell: same coordinate-derived seed, same
-         iteration budget, makespan objective through the uniform
-         driver. *)
-      let ctx =
-        Repro_dse.Engine.context ~should_stop:stop ~app ~platform ~seed
-          ~iterations:iters ()
-      in
-      Explorer.result_of_outcome (Repro_dse.Engine.run e ctx)
-    | None ->
-      let config =
+  let config =
+    {
+      Explorer.anneal =
         {
-          Explorer.anneal =
-            {
-              Annealer.iterations = iters;
-              warmup_iterations = 1_200;
-              schedule =
-                Schedule.lam ~quality:(150.0 /. float_of_int iters) ();
-              seed;
-              frozen_window = None;
-            };
-          moves = Repro_dse.Moves.fixed_architecture;
-          objective = Explorer.Makespan;
-        }
-      in
-      Explorer.explore ~should_stop:stop config app platform
+          Annealer.iterations = iters;
+          warmup_iterations = 1_200;
+          schedule = Schedule.lam ~quality:(150.0 /. float_of_int iters) ();
+          seed;
+          frozen_window = None;
+        };
+      moves = Repro_dse.Moves.fixed_architecture;
+      objective = Explorer.Makespan;
+    }
   in
+  let result = Explorer.explore ?engine ~should_stop:stop config app platform in
   let eval = result.Explorer.best_eval in
   ( eval.Repro_sched.Searchgraph.makespan,
     eval.Repro_sched.Searchgraph.initial_reconfig,
@@ -144,10 +130,7 @@ let run runs iters base_seed sizes engine_name csv_path jobs checkpoint_path
    | Some s when s <= 0.0 ->
      Cli_common.fail "--restart-timeout wants a positive number of seconds"
    | _ -> ());
-  let engine =
-    if engine_name = "sa" then None
-    else Some (Cli_common.find_engine engine_name)
-  in
+  let engine = Cli_common.or_fail (Explorer.resolve_engine engine_name) in
   Printf.printf
     "Fig. 3 sweep: %d run(s) per size, %d iterations each, %d job(s), \
      engine %s (paper: 100 runs)\n%!"

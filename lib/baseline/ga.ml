@@ -17,45 +17,12 @@ let elite = 2
 type individual = { hw : bool array; impl : int array }
 
 (* The deterministic realization of a chromosome, shared by the spec
-   decoder and the Solution builder: temporal partitioning by
-   clustering, software order by list scheduling on upward ranks. *)
+   decoder and the Solution builder. *)
 let plan app platform individual =
-  let limit = Platform.n_clb platform in
   let impl_choice v = individual.impl.(v) in
-  let fits v =
-    (Task.impl (App.task app v) (impl_choice v)).Task.clbs <= limit
-  in
-  let is_hw v = individual.hw.(v) && fits v in
-  let contexts = Repro_sched.Clustering.contexts app platform ~is_hw ~impl_choice in
-  (* Positional context of each hardware task. *)
-  let position = Hashtbl.create 32 in
-  List.iteri
-    (fun j members -> List.iter (fun v -> Hashtbl.add position v j) members)
-    contexts;
-  let binding v =
-    match Hashtbl.find_opt position v with
-    | Some j -> Searchgraph.Hw j
-    | None -> Searchgraph.Sw
-  in
-  let time v =
-    match binding v with
-    | Searchgraph.Sw -> (App.task app v).Task.sw_time
-    | Searchgraph.Hw _ | Searchgraph.On_asic _ ->
-      (Task.impl (App.task app v) (impl_choice v)).Task.hw_time
-  in
-  let comm u v =
-    match (binding u, binding v) with
-    | Searchgraph.Sw, Searchgraph.Sw -> 0.0
-    | Searchgraph.Sw, _ | _, Searchgraph.Sw ->
-      Platform.transfer_time platform (App.kbytes app u v)
-    | (Searchgraph.Hw _ | Searchgraph.On_asic _),
-      (Searchgraph.Hw _ | Searchgraph.On_asic _) -> 0.0
-  in
-  let rank = List_sched.upward_rank app ~time ~comm in
-  let sw_order =
-    List_sched.sw_order app
-      ~is_sw:(fun v -> binding v = Searchgraph.Sw)
-      ~priority:(fun v -> rank.(v))
+  let contexts, sw_order, binding =
+    Clustering.plan app platform ~is_hw:(fun v -> individual.hw.(v))
+      ~impl_choice
   in
   (contexts, sw_order, binding, impl_choice)
 

@@ -11,9 +11,9 @@ type budget = {
   max_evaluations : int option;
 }
 
-type status = Complete | Interrupted
+type status = Repro_anneal.Annealer.status = Complete | Interrupted
 
-let status_name = function Complete -> "complete" | Interrupted -> "interrupted"
+let status_name = Repro_anneal.Annealer.status_name
 
 type probe = { iteration : int; cost : float; best : float; accepted : bool }
 

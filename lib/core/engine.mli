@@ -58,9 +58,11 @@ type budget = {
       of cost evaluations instead of per-name iteration heuristics. *)
 }
 
-type status =
+type status = Repro_anneal.Annealer.status =
   | Complete     (** ran to the end of the iteration budget *)
   | Interrupted  (** stopped early by the stop probe or the time limit *)
+(** The annealer's own status type, so the native annealer and every
+    registered engine report through one type. *)
 
 val status_name : status -> string
 (** ["complete"] / ["interrupted"], the strings used in result files. *)

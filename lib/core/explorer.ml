@@ -7,6 +7,7 @@ module Rng = Repro_util.Rng
 module Parallel = Repro_util.Parallel
 module Clock = Repro_util.Clock
 module Checkpoint = Repro_util.Checkpoint
+module Json = Repro_util.Json_lite
 
 type objective =
   | Makespan
@@ -43,8 +44,34 @@ type result = {
   accepted : int;
   infeasible : int;
   wall_seconds : float;
-  status : Annealer.status;
+  status : Engine.status;
 }
+
+let result_fields ?(lead = []) ?(after_run = []) ?(after_solution = [])
+    ?(restart_statuses = []) ?(degraded = 0) ~status r =
+  let open Json in
+  lead
+  @ [
+      ("status", Str status);
+      ("best_cost", Num r.best_cost);
+      ("makespan", Num r.best_eval.Searchgraph.makespan);
+      ("n_contexts", num_int r.best_eval.Searchgraph.n_contexts);
+      ("iterations_run", num_int r.iterations_run);
+      ("accepted", num_int r.accepted);
+      ("infeasible", num_int r.infeasible);
+      ("wall_seconds", Num r.wall_seconds);
+    ]
+  @ after_run
+  @ [ ("solution", Str (Checkpoint.crc32_hex (Solution.encode r.best))) ]
+  @ after_solution
+  @
+  match restart_statuses with
+  | [] -> []
+  | statuses ->
+    [
+      ("restart_statuses", Arr (List.map (fun s -> Str s) statuses));
+      ("degraded_restarts", num_int degraded);
+    ]
 
 (* A checkpoint only resumes against the inputs and configuration it
    was taken under; the fingerprint ties the file to them. *)
@@ -231,7 +258,36 @@ type frontier_point = {
   meets : bool;
 }
 
-let explore ?trace ?initial ?checkpoint ?should_stop ?on_iteration config
+(* [trace] recording and [on_iteration] folded into one per-iteration
+   callback; [n_contexts] reads the working state's context count. *)
+let iteration_callback trace on_iteration ~n_contexts =
+  let record =
+    Option.map
+      (fun t ~iteration ~cost ~best ~temperature ~accepted ->
+        Trace.record t
+          {
+            Trace.iteration;
+            cost;
+            best;
+            temperature;
+            accepted;
+            n_contexts = n_contexts ();
+          })
+      trace
+  in
+  match (record, on_iteration) with
+  | None, None -> None
+  | Some f, None | None, Some f -> Some f
+  | Some f, Some g ->
+    Some
+      (fun ~iteration ~cost ~best ~temperature ~accepted ->
+        f ~iteration ~cost ~best ~temperature ~accepted;
+        g ~iteration ~cost ~best ~temperature ~accepted)
+
+(* The native annealer on [config]: the whole configuration (warmup,
+   schedule, moves, objective) applies, and checkpoints carry the
+   annealer's own state section. *)
+let anneal ?trace ?initial ?checkpoint ?should_stop ?on_iteration config
     application platform =
   let module P = struct
     type state = Solution.t
@@ -276,28 +332,8 @@ let explore ?trace ?initial ?checkpoint ?should_stop ?on_iteration config
   in
   let elapsed () = elapsed_before +. Clock.wall () -. start_clock in
   let annealer_trace =
-    let record =
-      Option.map
-        (fun t ~iteration ~cost ~best ~temperature ~accepted ->
-          Trace.record t
-            {
-              Trace.iteration;
-              cost;
-              best;
-              temperature;
-              accepted;
-              n_contexts = Solution.n_contexts solution;
-            })
-        trace
-    in
-    match (record, on_iteration) with
-    | None, None -> None
-    | Some f, None | None, Some f -> Some f
-    | Some f, Some g ->
-      Some
-        (fun ~iteration ~cost ~best ~temperature ~accepted ->
-          f ~iteration ~cost ~best ~temperature ~accepted;
-          g ~iteration ~cost ~best ~temperature ~accepted)
+    iteration_callback trace on_iteration ~n_contexts:(fun () ->
+        Solution.n_contexts solution)
   in
   let sink =
     Option.map
@@ -335,6 +371,60 @@ let explore ?trace ?initial ?checkpoint ?should_stop ?on_iteration config
     wall_seconds = elapsed ();
     status = outcome.Annealer.status;
   }
+
+(* A registered engine on the explorer's inputs.  The context takes the
+   annealing seed and iteration budget; the observations feed the trace
+   and [on_iteration], with temperature and context count (defined only
+   for the annealer) recorded as 0.  The eval is recomputed from the
+   (feasible) best solution, and the annealer-specific infeasible
+   counter is 0. *)
+let run_engine engine ?trace ?initial ?checkpoint ?should_stop ?on_iteration
+    config application platform =
+  (match config.objective with
+   | Makespan -> ()
+   | Makespan_serialized | Min_period | Cost_under_deadline _ ->
+     invalid_arg "Explorer.explore: a registered engine optimizes the makespan");
+  let observe =
+    Option.map
+      (fun f { Engine.iteration; cost; best; accepted } ->
+        f ~iteration ~cost ~best ~temperature:0.0 ~accepted)
+      (iteration_callback trace on_iteration ~n_contexts:(fun () -> 0))
+  in
+  let o =
+    Engine.run engine
+      (Engine.context ?should_stop ?observe ?checkpoint
+         ?warm_start:(Option.map Solution.snapshot initial)
+         ~app:application ~platform ~seed:config.anneal.Annealer.seed
+         ~iterations:config.anneal.Annealer.iterations ())
+  in
+  let best_eval =
+    match Solution.evaluate o.Engine.best with
+    | Some eval -> eval
+    | None -> failwith "Explorer: engine returned an infeasible best solution"
+  in
+  {
+    best = o.Engine.best;
+    best_eval;
+    best_cost = o.Engine.best_cost;
+    initial_cost = o.Engine.initial_cost;
+    iterations_run = o.Engine.iterations_run;
+    accepted = o.Engine.accepted;
+    infeasible = 0;
+    wall_seconds = o.Engine.wall_seconds;
+    status = o.Engine.status;
+  }
+
+let explore ?engine ?trace ?initial ?checkpoint ?should_stop ?on_iteration
+    config application platform =
+  let run =
+    match engine with None -> anneal | Some engine -> run_engine engine
+  in
+  run ?trace ?initial ?checkpoint ?should_stop ?on_iteration config
+    application platform
+
+let resolve_engine ?report name =
+  if name = "sa" then Ok None
+  else Result.map Option.some (Portfolio.resolve ?report name)
 
 (* ---- the annealer as a registered engine -------------------------- *)
 
@@ -387,7 +477,7 @@ module Sa_engine : Engine.S = struct
         ctx.Engine.observe
     in
     let result =
-      explore
+      anneal
         ~should_stop:(Engine.stop_probe ctx)
         ?initial:(Option.map Solution.snapshot ctx.Engine.warm_start)
         ?on_iteration ?checkpoint:ctx.Engine.checkpoint config ctx.Engine.app
@@ -401,10 +491,7 @@ module Sa_engine : Engine.S = struct
       evaluations = result.iterations_run - result.infeasible;
       accepted = result.accepted;
       wall_seconds = result.wall_seconds;
-      status =
-        (match result.status with
-         | Annealer.Complete -> Engine.Complete
-         | Annealer.Interrupted -> Engine.Interrupted);
+      status = result.status;
     }
 end
 
@@ -437,30 +524,6 @@ type restarts_report = {
   degraded : int;
 }
 
-(* A generic engine's outcome, dressed as the explorer's result record:
-   the eval is recomputed from the (feasible) best solution, and the
-   annealer-specific infeasible counter is 0. *)
-let result_of_outcome (o : Engine.outcome) =
-  let best_eval =
-    match Solution.evaluate o.Engine.best with
-    | Some eval -> eval
-    | None -> failwith "Explorer: engine returned an infeasible best solution"
-  in
-  {
-    best = o.Engine.best;
-    best_eval;
-    best_cost = o.Engine.best_cost;
-    initial_cost = o.Engine.initial_cost;
-    iterations_run = o.Engine.iterations_run;
-    accepted = o.Engine.accepted;
-    infeasible = 0;
-    wall_seconds = o.Engine.wall_seconds;
-    status =
-      (match o.Engine.status with
-       | Engine.Complete -> Annealer.Complete
-       | Engine.Interrupted -> Annealer.Interrupted);
-  }
-
 let explore_restarts_supervised ?trace ?(jobs = 1) ?restart_timeout
     ?should_stop ?(retries = 0) ?engine ?restart_checkpoint ?warm_start
     ~restarts config application platform =
@@ -475,45 +538,15 @@ let explore_restarts_supervised ?trace ?(jobs = 1) ?restart_timeout
     let checkpoint =
       Option.map (fun path_of -> path_of index) restart_checkpoint
     in
-    match engine with
-    | None ->
-      (* Native annealer path, bit-identical to the historical one. *)
-      let config =
-        { config with anneal = { config.anneal with Annealer.seed } }
-      in
-      (* The per-restart deadline reaches the annealer as its stop
-         probe: a chain out of budget returns best-so-far at the next
-         iteration boundary instead of being torn down. *)
-      explore ?trace ?checkpoint ~should_stop:stop
-        ?initial:(Option.map Solution.snapshot warm_start)
-        config application platform
-    | Some engine ->
-      (* Any registered engine gets the same supervision: derived
-         seeds, the anneal iteration budget, and the stop probe wired
-         to its boundary polls.  Restart 0 streams its observations
-         into the trace (engines other than the annealer have no
-         temperature or context count; both are recorded as 0). *)
-      let observe =
-        Option.map
-          (fun t { Engine.iteration; cost; best; accepted } ->
-            Trace.record t
-              {
-                Trace.iteration;
-                cost;
-                best;
-                temperature = 0.0;
-                accepted;
-                n_contexts = 0;
-              })
-          trace
-      in
-      let ctx =
-        Engine.context ~should_stop:stop ?observe ?checkpoint
-          ?warm_start:(Option.map Solution.snapshot warm_start)
-          ~app:application ~platform ~seed
-          ~iterations:config.anneal.Annealer.iterations ()
-      in
-      result_of_outcome (Engine.run engine ctx)
+    let config =
+      { config with anneal = { config.anneal with Annealer.seed } }
+    in
+    (* The per-restart deadline reaches the chain as its stop probe: a
+       chain out of budget returns best-so-far at the next iteration
+       boundary instead of being torn down. *)
+    explore ?engine ?trace ?checkpoint ~should_stop:stop
+      ?initial:(Option.map Solution.snapshot warm_start)
+      config application platform
   in
   let outcomes =
     Parallel.map_outcomes ~jobs ~retries ?timeout:restart_timeout ?should_stop
@@ -579,32 +612,17 @@ let cost_performance_frontier_supervised ?(seed = 1) ?(iterations = 20_000)
      catalogue with that device excluded a priori, because candidates
      never interact before the final dominance pass. *)
   let devices = Array.of_list catalogue in
+  let config =
+    let base = default_config ~seed () in
+    { base with anneal = { base.anneal with Annealer.iterations } }
+  in
   let outcomes =
     Parallel.map_outcomes ~jobs ~retries ?timeout:device_timeout ?should_stop
       (Array.length devices)
       (fun i ~stop ->
         let platform = devices.(i) in
         let result =
-          match engine with
-          | None ->
-            let config =
-              {
-                anneal =
-                  { Annealer.default_config with Annealer.iterations; seed };
-                moves = Moves.fixed_architecture;
-                objective = Makespan;
-              }
-            in
-            explore ~should_stop:stop config application platform
-          | Some engine ->
-            (* Same per-device treatment for any registered engine:
-               identical seed and iteration budget for every device,
-               the stop probe carrying the per-device deadline. *)
-            let ctx =
-              Engine.context ~should_stop:stop ~app:application ~platform
-                ~seed ~iterations ()
-            in
-            result_of_outcome (Engine.run engine ctx)
+          explore ?engine ~should_stop:stop config application platform
         in
         {
           platform;

@@ -52,15 +52,30 @@ type result = {
   accepted : int;
   infeasible : int;
   wall_seconds : float;
-  status : Repro_anneal.Annealer.status;
+  status : Engine.status;
   (** [Interrupted] when [should_stop] ended the run early; the best
       solution is still the best seen so far. *)
 }
-(** For results produced by a generic engine (see [engine] below),
-    [iterations_run]/[accepted] come from the engine's outcome,
-    [infeasible] is 0 (only the annealer counts structurally invalid
-    proposals) and [initial_cost] is the cost of the engine's initial
-    state. *)
+(** For results produced by a registered engine (see [engine] in
+    {!explore}), [iterations_run]/[accepted] come from the engine's
+    outcome, [infeasible] is 0 (only the annealer counts structurally
+    invalid proposals) and [initial_cost] is the cost of the engine's
+    initial state. *)
+
+val result_fields :
+  ?lead:(string * Repro_util.Json_lite.t) list ->
+  ?after_run:(string * Repro_util.Json_lite.t) list ->
+  ?after_solution:(string * Repro_util.Json_lite.t) list ->
+  ?restart_statuses:string list -> ?degraded:int -> status:string ->
+  result -> (string * Repro_util.Json_lite.t) list
+(** The fields every result file shares, in order: [lead], then
+    [status], [best_cost], [makespan], [n_contexts], [iterations_run],
+    [accepted], [infeasible] and [wall_seconds], then [after_run], then
+    [solution] (the CRC of the canonical solution text, which lets two
+    runs be compared for bit-identity without shipping the solution),
+    then [after_solution], then — when [restart_statuses] is non-empty —
+    [restart_statuses] and [degraded_restarts].  Callers append their
+    own trailing fields. *)
 
 val cost_of : objective -> Solution.t -> float
 (** The scalar the annealer minimizes. *)
@@ -78,12 +93,14 @@ val read_incumbent :
     decode fails otherwise). *)
 
 val explore :
+  ?engine:Engine.t ->
   ?trace:Trace.t -> ?initial:Solution.t -> ?checkpoint:Engine.checkpoint ->
   ?should_stop:(unit -> bool) ->
   ?on_iteration:(iteration:int -> cost:float -> best:float ->
                  temperature:float -> accepted:bool -> unit) ->
   config -> App.t -> Platform.t -> result
-(** Run one exploration.  The initial solution defaults to
+(** Run one exploration chain: without [engine], the native annealer
+    on the whole [config].  The initial solution defaults to
     {!Solution.random} drawn from the annealing seed.  [checkpoint]
     writes the run's state to [checkpoint.path] every
     [checkpoint.every] iterations as an {!Engine.Envelope} (kind
@@ -99,7 +116,27 @@ val explore :
     streaming observation callback firing once per annealing iteration
     (warmup iterations carry negative indices), independent of [trace]
     recording.  Raises [Invalid_argument] when [Cost_under_deadline] is
-    used on an application without a deadline. *)
+    used on an application without a deadline.
+
+    [engine] runs a registered engine instead of the native annealer;
+    this is the one place that choice is made.  The engine's context
+    takes [config.anneal.seed] and [config.anneal.iterations] (its
+    budget, in the engine's own unit) and the stop probe, checkpoint
+    and [initial] (as the warm start); warmup, schedule and moves are
+    the annealer's and are ignored.  [trace] and [on_iteration] are fed
+    from the engine's observations, with temperature and context count
+    recorded as 0.  Raises [Invalid_argument] when [config.objective]
+    is not [Makespan]. *)
+
+val resolve_engine :
+  ?report:(Portfolio.lane_report array -> unit) -> string ->
+  (Engine.t option, string) Stdlib.result
+(** The engine a name selects for {!explore}: ["sa"] is [None], the
+    native annealer on the caller's own configuration; any other name
+    is {!Portfolio.resolve}'s (a registered engine or a portfolio spec,
+    whose lane verdicts go to [report]).  [dse-run], [dse-sweep],
+    [dse-pareto] and the job daemon resolve their engine name here, so
+    ["sa"] and no engine are the same run in each of them. *)
 
 val sa_engine : Engine.t
 (** The annealer behind the uniform {!Engine.S} contract, under the
@@ -115,12 +152,6 @@ val sa_engine : Engine.t
     resumes bit-identically like every driven engine; an evaluation
     budget is enforced exactly by capping the move count (the annealer
     spends at most one evaluation per move). *)
-
-val result_of_outcome : Engine.outcome -> result
-(** A generic engine's outcome dressed as the explorer's {!result}:
-    the eval is recomputed from the (feasible) best solution,
-    [infeasible] is 0.  Raises [Failure] if the engine returned an
-    infeasible best. *)
 
 val meets_deadline : App.t -> Searchgraph.eval -> bool
 (** True when the application declares no deadline or the evaluated
@@ -178,28 +209,19 @@ val explore_restarts_supervised :
     The report aggregates over survivors; consumers must treat
     [degraded > 0] as a partial (still deterministic) answer.
 
-    [engine] selects the search engine (default: the annealer through
-    its native path, preserving the historical bit-exact streams).
-    Every engine gets the same treatment: per-restart derived seeds
-    ([config.anneal.seed + 65537 * index]), parallel chains over
-    [jobs] domains, per-restart timeouts and degradation.  Generic
-    engines take [config.anneal.iterations] as their iteration budget
-    and run on the makespan objective; restart 0 feeds [trace] through
-    the engine's observation callback (temperature and context count
-    are not defined for them and recorded as 0).
+    Each chain is one {!explore} call with [engine] (default: the
+    native annealer), on [config] with its seed derived from the index
+    ([config.anneal.seed + 65537 * index]); restart 0 feeds [trace].
 
     [restart_checkpoint] makes the supervised run crash-safe: it maps
     a restart index to that chain's {!Engine.checkpoint} (path,
-    cadence, resume mode).  Generic engines receive it through their
-    context, the native annealer through {!explore}.  Because
-    per-restart seeds are derived from the index, each chain's
-    checkpoint resumes exactly that chain.
+    cadence, resume mode).  Because per-restart seeds are derived from
+    the index, each chain's checkpoint resumes exactly that chain.
 
-    [warm_start] hands every restart the same donated incumbent
-    (see {!read_incumbent}): generic engines receive it through
-    [context.warm_start], the native annealer as its initial
-    solution.  A resumed chain ignores it — the warm start is baked
-    into the checkpointed state. *)
+    [warm_start] hands every restart a copy of the same donated
+    incumbent (see {!read_incumbent}) as its [initial] solution.  A
+    resumed chain ignores it — the warm start is baked into the
+    checkpointed state. *)
 
 type frontier_point = {
   platform : Platform.t;
@@ -235,7 +257,6 @@ val cost_performance_frontier_supervised :
     isolation, and the report labels exactly which devices the
     frontier covers.  Candidates never
     interact before the final dominance pass, so the degraded frontier
-    is the exact frontier of the surviving sub-catalogue.  [engine]
-    selects the search engine per device (default: the annealer's
-    native path); every device gets the same seed and iteration
-    budget, whichever engine runs. *)
+    is the exact frontier of the surviving sub-catalogue.  Each device
+    is one {!explore} call with [engine] (default: the native
+    annealer) under the same seed and iteration budget. *)

@@ -97,58 +97,28 @@ type result = {
   wall_seconds : float;
 }
 
-(* Deterministic per-mode realization of the shared genes: clustering
-   for the temporal partitioning, HEFT-ranked list scheduling for the
-   processor order (the same decode as the GA baseline). *)
-let realize_mode problem platform assignment realized =
+(* Deterministic per-mode realization of the shared genes (the same
+   decode as the GA baseline, {!Clustering.plan}). *)
+let realize_mode platform assignment realized =
   let app = realized.app in
-  let limit = Platform.n_clb platform in
   let global local = realized.to_global.(local) in
   let impl_choice local =
     let k = assignment.impl.(global local) in
     let task = App.task app local in
     if k < Task.impl_count task then k else 0
   in
-  let fits local =
-    (Task.impl (App.task app local) (impl_choice local)).Task.clbs <= limit
+  let contexts, sw_order, binding =
+    Clustering.plan app platform
+      ~is_hw:(fun local -> assignment.hw.(global local))
+      ~impl_choice
   in
-  let is_hw local = assignment.hw.(global local) && fits local in
-  let contexts = Clustering.contexts app platform ~is_hw ~impl_choice in
-  let position = Hashtbl.create 16 in
-  List.iteri
-    (fun j members -> List.iter (fun v -> Hashtbl.add position v j) members)
-    contexts;
-  let binding local =
-    match Hashtbl.find_opt position local with
-    | Some j -> Searchgraph.Hw j
-    | None -> Searchgraph.Sw
-  in
-  let time local =
-    match binding local with
-    | Searchgraph.Sw -> (App.task app local).Task.sw_time
-    | Searchgraph.Hw _ | Searchgraph.On_asic _ ->
-      (Task.impl (App.task app local) (impl_choice local)).Task.hw_time
-  in
-  let comm u v =
-    match (binding u, binding v) with
-    | Searchgraph.Sw, Searchgraph.Hw _ | Searchgraph.Hw _, Searchgraph.Sw ->
-      Platform.transfer_time platform (App.kbytes app u v)
-    | (Searchgraph.Sw | Searchgraph.Hw _ | Searchgraph.On_asic _), _ -> 0.0
-  in
-  let rank = List_sched.upward_rank app ~time ~comm in
-  let sw_order =
-    List_sched.sw_order app
-      ~is_sw:(fun v -> binding v = Searchgraph.Sw)
-      ~priority:(fun v -> rank.(v))
-  in
-  ignore problem;
   Searchgraph.single_processor_spec ~app ~platform ~binding ~impl_choice
     ~sw_order ~contexts
 
 let realize problem platform assignment =
   List.map
     (fun realized ->
-      (realized.descriptor, realize_mode problem platform assignment realized))
+      (realized.descriptor, realize_mode platform assignment realized))
     problem.modes
 
 let slack_ratio descriptor eval =
@@ -160,7 +130,7 @@ let slack_ratio descriptor eval =
 let assignment_cost problem platform assignment =
   List.fold_left
     (fun worst realized ->
-      let spec = realize_mode problem platform assignment realized in
+      let spec = realize_mode platform assignment realized in
       match Searchgraph.evaluate spec with
       | Some eval -> Float.max worst (-.slack_ratio realized.descriptor eval)
       | None ->
@@ -234,7 +204,7 @@ let explore ?(seed = 1) ?(iterations = 20_000) problem platform =
   let per_mode =
     List.map
       (fun realized ->
-        let spec = realize_mode problem platform assignment realized in
+        let spec = realize_mode platform assignment realized in
         match Searchgraph.evaluate spec with
         | Some eval ->
           {

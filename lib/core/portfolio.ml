@@ -787,5 +787,5 @@ let engine () =
   | Ok e -> e
   | Error msg -> failwith ("portfolio: default members unregistered: " ^ msg)
 
-let resolve text =
-  if is_spec text then of_spec text else Engine_registry.find text
+let resolve ?report text =
+  if is_spec text then of_spec ?report text else Engine_registry.find text

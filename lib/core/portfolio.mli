@@ -94,6 +94,8 @@ val engine : unit -> Engine.t
     members must already be registered when it is built — call after
     the baseline engines are in the registry. *)
 
-val resolve : string -> (Engine.t, string) result
-(** The [--engine] front door: portfolio specs build a portfolio,
-    anything else goes to {!Engine_registry.find}. *)
+val resolve :
+  ?report:(lane_report array -> unit) -> string -> (Engine.t, string) result
+(** The [--engine] front door: portfolio specs build a portfolio (whose
+    final per-lane verdicts go to [report]), anything else goes to
+    {!Engine_registry.find}. *)

@@ -21,3 +21,13 @@ val oversized_tasks :
   App.t -> Platform.t -> is_hw:(int -> bool) -> impl_choice:(int -> int) ->
   int list
 (** The hardware-requested tasks that cannot fit the device at all. *)
+
+val plan :
+  App.t -> Platform.t -> is_hw:(int -> bool) -> impl_choice:(int -> int) ->
+  int list list * int list * (int -> Searchgraph.binding)
+(** The deterministic realization of a hardware/software chromosome,
+    shared by the GA baseline and the multi-mode explorer: the tasks
+    [is_hw] requests whose selected implementation fits the device are
+    clustered into {!contexts}; the rest run in software, ordered by
+    list scheduling on HEFT upward ranks.  Returns the contexts, the
+    software order and the resulting binding. *)

@@ -1,5 +1,4 @@
 module Backoff = Repro_util.Backoff
-module Checkpoint = Repro_util.Checkpoint
 module Clock = Repro_util.Clock
 module Fault = Repro_util.Fault
 module Json = Repro_util.Json_lite
@@ -7,8 +6,6 @@ module Log = Repro_util.Log
 module Rng = Repro_util.Rng
 module Explorer = Repro_dse.Explorer
 module Engine = Repro_dse.Engine
-module Engine_registry = Repro_dse.Engine_registry
-module Solution = Repro_dse.Solution
 
 type config = {
   timeout : float option;
@@ -71,41 +68,22 @@ let outcome_name = function
 
 (* ---- per-job result ---------------------------------------------- *)
 
-let result_json job ~status ~attempts ~(result : Explorer.result)
-    ~restart_statuses ~degraded =
-  let eval = result.Explorer.best_eval in
+let result_json job ~status ~attempts ~result ~restart_statuses ~degraded =
   let open Json in
   obj
-    ([
-       ("job", Str job.Job.name);
-       ("status", Str status);
-       ("best_cost", Num result.Explorer.best_cost);
-       ("makespan", Num eval.Repro_sched.Searchgraph.makespan);
-       ("n_contexts", num_int eval.Repro_sched.Searchgraph.n_contexts);
-       ("iterations_run", num_int result.Explorer.iterations_run);
-       ("accepted", num_int result.Explorer.accepted);
-       ("infeasible", num_int result.Explorer.infeasible);
-       ("wall_seconds", Num result.Explorer.wall_seconds);
-       ("seed", num_int job.Job.seed);
-       ("restarts", num_int job.Job.restarts);
-       ("attempts", num_int attempts);
-       (* CRC of the canonical solution text: lets a reclaimed-and-
-          resumed run be compared for bit-identity against an
-          uninterrupted one without shipping the whole solution. *)
-       ( "solution",
-         Str (Checkpoint.crc32_hex (Solution.encode result.Explorer.best)) );
-     ]
-     @ (match job.Job.engine with
-        | Some e -> [ ("engine", Str e) ]
-        | None -> [])
-     @
-     match restart_statuses with
-     | [] -> []
-     | statuses ->
-       [
-         ("restart_statuses", Arr (List.map (fun s -> Str s) statuses));
-         ("degraded_restarts", num_int degraded);
-       ])
+    (Explorer.result_fields ~status ~restart_statuses ~degraded
+       ~lead:[ ("job", Str job.Job.name) ]
+       ~after_run:
+         [
+           ("seed", num_int job.Job.seed);
+           ("restarts", num_int job.Job.restarts);
+           ("attempts", num_int attempts);
+         ]
+       ~after_solution:
+         (match job.Job.engine with
+          | Some e -> [ ("engine", Str e) ]
+          | None -> [])
+       result)
 
 (* What one attempt of a job produced.  [Shutdown] is not a job
    verdict: the global stop fired mid-run, the job goes back to the
@@ -121,18 +99,17 @@ let run_attempt config spool job ~attempts ~stop ~deadline_expired =
   | Ok (app, platform) ->
     let explorer_config = Job.explorer_config job in
     (* An unknown engine name is poison, not a transient failure; the
-       registry error already lists every known name.  Portfolio specs
-       (portfolio:race:sa+tabu:...) build the meta-engine on the fly —
-       a portfolio job's checkpoint nests the member states inside the
-       regular work/<base>.ckpt file, plus one .ckpt.m<i> scratch per
-       live member. *)
+       registry error already lists every known name.  ["sa"], like no
+       engine at all, is the native annealer on the job's configuration.
+       Portfolio specs (portfolio:race:sa+tabu:...) build the
+       meta-engine on the fly — a portfolio job's checkpoint nests the
+       member states inside the regular work/<base>.ckpt file, plus one
+       .ckpt.m<i> scratch per live member. *)
     let engine =
-      match job.Job.engine with
-      | None -> None
-      | Some name -> (
-        match Repro_dse.Portfolio.resolve name with
-        | Ok e -> Some e
-        | Error msg -> failwith msg)
+      match Explorer.resolve_engine (Option.value job.Job.engine ~default:"sa")
+      with
+      | Ok engine -> engine
+      | Error msg -> failwith msg
     in
     if job.Job.restarts <= 1 then begin
       (* Opportunistic resume: a stale or foreign checkpoint is warned
@@ -146,26 +123,11 @@ let run_attempt config spool job ~attempts ~stop ~deadline_expired =
           resume = Engine.Resume_if_exists;
         }
       in
-      (* [result_of_outcome] re-evaluates the best solution, so it
-         runs only when a verdict is filed, never on shutdown. *)
-      let interrupted, result =
-        match engine with
-        | Some engine ->
-          let outcome =
-            Engine.run engine
-              (Engine.context ~should_stop:stop ~checkpoint ~app ~platform
-                 ~seed:job.Job.seed ~iterations:job.Job.iters ())
-          in
-          ( outcome.Engine.status = Engine.Interrupted,
-            fun () -> Explorer.result_of_outcome outcome )
-        | None ->
-          let result =
-            Explorer.explore ~checkpoint ~should_stop:stop explorer_config
-              app platform
-          in
-          ( result.Explorer.status = Repro_anneal.Annealer.Interrupted,
-            fun () -> result )
+      let result =
+        Explorer.explore ?engine ~checkpoint ~should_stop:stop explorer_config
+          app platform
       in
+      let interrupted = result.Explorer.status = Engine.Interrupted in
       if interrupted && not (deadline_expired ()) then Shutdown
       else
         let status = if interrupted then "timed-out" else "complete" in
@@ -173,8 +135,8 @@ let run_attempt config spool job ~attempts ~stop ~deadline_expired =
           {
             status;
             json =
-              result_json job ~status ~attempts ~result:(result ())
-                ~restart_statuses:[] ~degraded:0;
+              result_json job ~status ~attempts ~result ~restart_statuses:[]
+                ~degraded:0;
           }
     end
     else begin
@@ -195,8 +157,12 @@ let run_attempt config spool job ~attempts ~stop ~deadline_expired =
           ~should_stop:stop ?engine ~restart_checkpoint
           ~restarts:job.Job.restarts explorer_config app platform
       in
+      (* A stop that is not the job's deadline is the daemon shutting
+         down, whatever the chains salvaged: the job goes back to the
+         queue with its per-chain checkpoints instead of filing the
+         partial run. *)
       match report.Explorer.best_result with
-      | None when not (deadline_expired ()) && stop () -> Shutdown
+      | _ when stop () && not (deadline_expired ()) -> Shutdown
       | None -> failwith "all restarts lost"
       | Some best ->
         let statuses =

@@ -16,13 +16,14 @@
       default
     - ["serialized"] — optimize under the serialized bus model (native
       annealer only; incompatible with ["engine"])
-    - ["engine"] — a registered engine name; the job then runs through
-      the uniform engine interface (budget = ["iters"], makespan
-      objective; ["warmup"] is annealer-specific and ignored) with the
-      driver's checkpointing, so a timed-out engine job records
-      best-so-far {e and} keeps its resume checkpoint for a retry.
-      Without the field the job takes the historical native-annealer
-      path. *)
+    - ["engine"] — an engine name, resolved by
+      {!Repro_dse.Explorer.resolve_engine}: ["sa"] is the native
+      annealer, the same run as a job without the field; any other
+      registered name or portfolio spec runs through the uniform engine
+      interface (budget = ["iters"], makespan objective; ["warmup"] is
+      annealer-specific and ignored).  Either way a timed-out job
+      records best-so-far {e and} keeps its resume checkpoint for a
+      retry. *)
 
 type source = Named of string | From_file of string
 
@@ -37,7 +38,7 @@ type t = {
   restarts : int;
   timeout : float option;
   serialized : bool;
-  engine : string option;  (** registered engine name; [None] = native *)
+  engine : string option;  (** engine name; [None] = native annealer *)
 }
 
 val of_json : name:string -> string -> (t, string) result

@@ -32,9 +32,10 @@ let fail fmt =
 let say fmt = Printf.ksprintf (fun msg -> print_endline ("chaos: " ^ msg)) fmt
 let check what cond = if not cond then fail "%s" what
 
-(* Four jobs across three priority bands; the SA engine checkpoints
-   under the daemon driver and resumes bit-identically, which is what
-   makes the reference-CRC comparison meaningful. *)
+(* Four jobs across three priority bands.  "engine": "sa" is the
+   native annealer, which checkpoints under the daemon and resumes
+   bit-identically — what makes the reference-CRC comparison
+   meaningful. *)
 let jobs = [ ("c1", 0, 11); ("c2", 0, 12); ("c3", 1, 13); ("c4", 2, 14) ]
 
 let job_text seed =

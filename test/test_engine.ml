@@ -8,6 +8,7 @@
 open Repro_taskgraph
 open Repro_arch
 module Engine = Repro_dse.Engine
+module Explorer = Repro_dse.Explorer
 module Registry = Repro_dse.Engine_registry
 module Solution = Repro_dse.Solution
 module Moves = Repro_dse.Moves
@@ -144,7 +145,28 @@ let conformance_tests engine =
         let b = run () in
         Alcotest.(check string) "rerun unaffected by mutating a prior best"
           before
-          (Solution.encode b.Engine.best))
+          (Solution.encode b.Engine.best));
+    Alcotest.test_case (name ^ ": Explorer.explore ~engine equals Engine.run")
+      `Quick (fun () ->
+        let o = run () in
+        let config = Explorer.default_config ~seed:11 () in
+        let config =
+          {
+            config with
+            Explorer.anneal =
+              { config.Explorer.anneal with
+                Repro_anneal.Annealer.iterations = budget };
+          }
+        in
+        let r = Explorer.explore ~engine config (app ()) (platform ()) in
+        Alcotest.(check int64) "same best cost"
+          (Int64.bits_of_float o.Engine.best_cost)
+          (Int64.bits_of_float r.Explorer.best_cost);
+        Alcotest.(check string) "same solution CRC"
+          (Repro_util.Checkpoint.crc32_hex (Solution.encode o.Engine.best))
+          (Repro_util.Checkpoint.crc32_hex (Solution.encode r.Explorer.best));
+        Alcotest.(check int) "same iterations" o.Engine.iterations_run
+          r.Explorer.iterations_run)
   ]
 
 let suite =

@@ -320,6 +320,31 @@ let test_quality_config () =
     (Invalid_argument "Annealer.config_of_quality: quality outside [0,1]")
     (fun () -> ignore (Explorer.quality_config 1.5))
 
+let test_engine_selection () =
+  Repro_baseline.Engines.register_all ();
+  let resolved name =
+    match Explorer.resolve_engine name with
+    | Ok engine -> Option.map Repro_dse.Engine.name engine
+    | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.(check (option string)) "sa is the native annealer" None
+    (resolved "sa");
+  Alcotest.(check (option string)) "other names are registry engines"
+    (Some "tabu") (resolved "tabu");
+  Alcotest.(check bool) "unknown names are errors" true
+    (Result.is_error (Explorer.resolve_engine "annealer"));
+  (* A registered engine optimizes the makespan only. *)
+  let config =
+    { (small_budget ()) with Explorer.objective = Explorer.Min_period }
+  in
+  Alcotest.check_raises "objective checked"
+    (Invalid_argument
+       "Explorer.explore: a registered engine optimizes the makespan")
+    (fun () ->
+      ignore
+        (Explorer.explore ~engine:Explorer.sa_engine config (Md.app ())
+           (Md.platform ())))
+
 let suite =
   [
     Alcotest.test_case "improves over initial" `Quick test_improves_over_initial;
@@ -337,6 +362,7 @@ let suite =
     Alcotest.test_case "architecture exploration" `Slow
       test_architecture_exploration_picks_cheaper_device;
     Alcotest.test_case "explore restarts" `Quick test_explore_restarts;
+    Alcotest.test_case "engine selection" `Quick test_engine_selection;
     Alcotest.test_case "serialized objective" `Quick test_serialized_objective;
     Alcotest.test_case "min-period objective" `Quick test_min_period_objective;
     Alcotest.test_case "cost/performance frontier" `Slow

@@ -421,8 +421,8 @@ let test_fleet_contention () =
 
 let test_lease_reclaim_drill_bit_identical () =
   Fun.protect ~finally:Fault.disarm @@ fun () ->
-  (* An SA engine job: the uniform engine path checkpoints under the
-     driver and resumes bit-identically — the property that makes the
+  (* An "sa" job runs the native annealer, which checkpoints under the
+     daemon and resumes bit-identically — the property that makes the
      reclaimed re-run equal the uninterrupted one. *)
   let job_text =
     "{\"app\": \"motion_detection\", \"engine\": \"sa\", \"iters\": 2000, \

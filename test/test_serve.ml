@@ -411,6 +411,51 @@ let test_daemon_engine_multi_restart () =
   Alcotest.(check bool) "restart checkpoints cleaned" false
     (Sys.file_exists (Spool.restart_checkpoint_path spool "mr.json" 0))
 
+let test_daemon_shutdown_mid_multi_restart_requeues () =
+  with_spool @@ fun spool ->
+  (* A shutdown while the first of two chains runs: the job goes back
+     to the queue with chain 0's checkpoint instead of filing the
+     partial run as a degraded result. *)
+  enqueue spool "mid.json"
+    "{\"app\": \"motion_detection\", \"iters\": 400000, \"warmup\": 50, \
+     \"restarts\": 2}";
+  let should_stop = Repro_util.Clock.deadline ~seconds:0.3 in
+  let outcome, stats = Daemon.run ~should_stop quiet_config spool in
+  Alcotest.(check string) "interrupted" "interrupted"
+    (Daemon.outcome_name outcome);
+  Alcotest.(check int) "re-queued" 1 stats.Daemon.requeued;
+  Alcotest.(check int) "nothing filed" 0 stats.Daemon.completed;
+  Alcotest.(check bool) "no result file" false
+    (Sys.file_exists (Spool.result_path spool "mid.json"));
+  Alcotest.(check int) "job back in the queue" 1 (Spool.queue_depth spool);
+  Alcotest.(check bool) "chain 0 checkpoint kept" true
+    (Sys.file_exists (Spool.restart_checkpoint_path spool "mid.json" 0))
+
+let test_daemon_sa_engine_is_native () =
+  with_spool @@ fun spool ->
+  (* Naming "sa" is the same as naming no engine: the native annealer
+     on the job's own warmup and schedule. *)
+  let job engine =
+    Printf.sprintf
+      "{\"app\": \"motion_detection\",%s \"iters\": 3000, \"warmup\": 300, \
+       \"seed\": 4}"
+      engine
+  in
+  enqueue spool "native.json" (job "");
+  enqueue spool "named.json" (job " \"engine\": \"sa\",");
+  let _outcome, stats = Daemon.run quiet_config spool in
+  Alcotest.(check int) "both completed" 2 stats.Daemon.completed;
+  let native = read_result spool "native.json" in
+  let named = read_result spool "named.json" in
+  Alcotest.(check (option string)) "same solution CRC"
+    (Json.str_field native "solution")
+    (Json.str_field named "solution");
+  Alcotest.(check (option (float 0.0))) "same best cost"
+    (Json.num_field native "best_cost")
+    (Json.num_field named "best_cost");
+  Alcotest.(check (option string)) "engine recorded" (Some "sa")
+    (Json.str_field named "engine")
+
 let test_daemon_shutdown_requeues () =
   with_spool @@ fun spool ->
   enqueue spool "a.json" (tiny_job ());
@@ -446,6 +491,10 @@ let suite =
       test_daemon_crash_drill_loses_nothing;
     Alcotest.test_case "shutdown before claiming re-queues" `Quick
       test_daemon_shutdown_requeues;
+    Alcotest.test_case "shutdown mid multi-restart job re-queues" `Quick
+      test_daemon_shutdown_mid_multi_restart_requeues;
+    Alcotest.test_case "engine sa is the native annealer" `Quick
+      test_daemon_sa_engine_is_native;
     Alcotest.test_case "job engine field parses and round-trips" `Quick
       test_job_engine_field;
     Alcotest.test_case "engine job runs through the registry" `Quick
