@@ -1,6 +1,6 @@
-(* Shared plumbing for the dse-* command-line tools: input loading with
-   one-line `file:line: message` errors, model validation before
-   exploring, SIGINT/deadline wiring, result files and exit codes. *)
+(* Shared plumbing for the dse-* command-line tools: one-line usage
+   errors, SIGINT/deadline wiring, result files, cell checkpoints and
+   exit codes.  Inputs are loaded and validated by Run_spec. *)
 
 module Explorer = Repro_dse.Explorer
 module Solution = Repro_dse.Solution
@@ -36,36 +36,6 @@ let fail fmt = Printf.ksprintf (fun msg -> raise (Usage_error msg)) fmt
 (* A library [Error] (unknown engine name, unusable checkpoint) is a
    usage error with the library's one-line message. *)
 let or_fail = function Ok v -> v | Error msg -> fail "%s" msg
-
-(* Parser errors come out as "line N: message"; prefix the file so the
-   user gets a clickable "file:N: message" location. *)
-let located path msg =
-  match Scanf.sscanf_opt msg "line %d: " (fun n -> n) with
-  | Some n ->
-    let tail_start = String.length (Printf.sprintf "line %d: " n) in
-    Printf.sprintf "%s:%d: %s" path n
-      (String.sub msg tail_start (String.length msg - tail_start))
-  | None -> Printf.sprintf "%s: %s" path msg
-
-let load_app path =
-  match Repro_taskgraph.App_io.load path with
-  | Ok app -> app
-  | Error msg -> fail "%s" (located path msg)
-
-let load_platform path =
-  match Repro_arch.Platform_io.load path with
-  | Ok platform -> platform
-  | Error msg -> fail "%s" (located path msg)
-
-(* Check the loaded model before spending iterations on it: the
-   all-software solution must evaluate and pass the independent
-   schedule checker. *)
-let validate_inputs app platform =
-  let spec = Solution.spec (Solution.all_software app platform) in
-  match Repro_sched.Validate.evaluated spec with
-  | Ok () -> ()
-  | Error problems ->
-    fail "invalid input model: %s" (String.concat "; " problems)
 
 (* [should_stop ~time_budget] wires SIGINT and the wall-clock budget
    into one boundary probe; pass it to the explorer. *)

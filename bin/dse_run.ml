@@ -18,42 +18,24 @@ module Solution = Repro_dse.Solution
 module Annealer = Repro_anneal.Annealer
 module Schedule = Repro_anneal.Schedule
 module App = Repro_taskgraph.App
+module Run_spec = Repro_dse.Run_spec
 
-let schedule_of_name name quality =
-  match name with
-  | "lam" -> Schedule.lam ~quality ()
-  | "swartz" -> Schedule.swartz ()
-  | "geometric" -> Schedule.geometric ()
-  | "infinite" -> Schedule.infinite ()
-  | other -> invalid_arg (Printf.sprintf "unknown schedule %S" other)
-
-let app_of_name name =
-  match List.assoc_opt name Repro_workloads.Suite.named with
-  | Some make -> make ()
-  | None ->
-    invalid_arg
-      (Printf.sprintf "unknown application %S (try: %s)" name
-         (String.concat ", " (List.map fst Repro_workloads.Suite.named)))
+(* The schedule the flags ask for instead of the spec's Lam at quality
+   150 / iters; [None] keeps that one. *)
+let schedule_override name quality =
+  match (name, quality) with
+  | "lam", None -> None
+  | "lam", Some quality -> Some (Schedule.lam ~quality ())
+  | "swartz", _ -> Some (Schedule.swartz ())
+  | "geometric", _ -> Some (Schedule.geometric ())
+  | "infinite", _ -> Some (Schedule.infinite ())
+  | other, _ -> invalid_arg (Printf.sprintf "unknown schedule %S" other)
 
 let run app_name app_file platform_file clbs engine_name iters warmup seed
     schedule lam_quality serialized trace_path gantt dot_path save_app
     restarts jobs checkpoint_path checkpoint_every resume_path time_budget
     restart_timeout result_path race chain target_cost seed_from =
   Cli_common.guard @@ fun () ->
-  let app =
-    match app_file with
-    | Some path -> Cli_common.load_app path
-    | None -> app_of_name app_name
-  in
-  let platform =
-    match platform_file with
-    | Some path -> Cli_common.load_platform path
-    | None ->
-      if app_file = None && app_name <> "motion_detection" then
-        Repro_workloads.Suite.platform_for app
-      else Repro_workloads.Motion_detection.platform ~n_clb:clbs ()
-  in
-  Cli_common.validate_inputs app platform;
   (* --race/--chain/--target-cost compose onto a portfolio spec; the
      spec grammar accepts the same tokens inline, the flags just read
      better in a shell line. *)
@@ -74,6 +56,18 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
          portfolio:e1+e2+..."
     else String.concat "" (engine_name :: extras)
   in
+  let source =
+    match app_file with
+    | Some path -> Run_spec.From_file path
+    | None -> Run_spec.Named app_name
+  in
+  let spec =
+    Cli_common.or_fail
+      (Run_spec.validate
+         { (Run_spec.default source) with platform_file; clbs; iters; warmup;
+           seed; restarts; serialized; engine = Some engine_name })
+  in
+  let app, platform = Cli_common.or_fail (Run_spec.load_inputs spec) in
   let lanes_seen = ref None in
   let engine =
     Cli_common.or_fail
@@ -97,9 +91,6 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
       "--resume names a single chain's checkpoint; multi-restart runs \
        resume opportunistically from their per-chain files (rerun with \
        the same --checkpoint PATH, which keeps PATH.r<i> per chain)";
-  if engine <> None && serialized then
-    Cli_common.fail
-      "--serialized-bus selects an sa objective; drop --engine";
   (match restart_timeout with
    | Some s when s <= 0.0 ->
      Cli_common.fail "--restart-timeout wants a positive number of seconds"
@@ -107,19 +98,11 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
   if checkpoint_every <= 0 then
     Cli_common.fail "--checkpoint-every wants a positive iteration count";
   let config =
-    {
-      Explorer.anneal =
-        {
-          Annealer.iterations = iters;
-          warmup_iterations = warmup;
-          schedule = schedule_of_name schedule lam_quality;
-          seed;
-          frozen_window = None;
-        };
-      moves = Repro_dse.Moves.fixed_architecture;
-      objective =
-        (if serialized then Explorer.Makespan_serialized else Explorer.Makespan);
-    }
+    let config = Run_spec.explorer_config spec in
+    match schedule_override schedule lam_quality with
+    | None -> config
+    | Some schedule ->
+      { config with anneal = { config.anneal with Annealer.schedule } }
   in
   (* One checkpoint file per chain, read and written alike: --resume
      makes loading it mandatory, --checkpoint alone starts fresh.  A
@@ -306,6 +289,10 @@ let run app_name app_file platform_file clbs engine_name iters warmup seed
   if overall_status = "interrupted" then Cli_common.exit_interrupted
   else Cli_common.exit_ok
 
+(* Every knob a job can set defaults to the job's value, except the
+   budget: a command-line run anneals 50,000 iterations. *)
+let defaults = Run_spec.default (Run_spec.Named "motion_detection")
+
 let app_arg =
   Arg.(value & opt string "motion_detection"
        & info [ "app" ] ~doc:"Built-in workload name")
@@ -322,7 +309,7 @@ let platform_file_arg =
            ~docv:"FILE")
 
 let clbs_arg =
-  Arg.(value & opt int 2000 & info [ "clbs" ] ~doc:"FPGA size in CLBs")
+  Arg.(value & opt int defaults.clbs & info [ "clbs" ] ~doc:"FPGA size in CLBs")
 
 let engine_arg =
   Arg.(value & opt string "sa"
@@ -338,18 +325,20 @@ let iters_arg =
   Arg.(value & opt int 50_000 & info [ "iters" ] ~doc:"Cooling iterations")
 
 let warmup_arg =
-  Arg.(value & opt int 1_200 & info [ "warmup" ]
+  Arg.(value & opt int defaults.warmup & info [ "warmup" ]
        ~doc:"Infinite-temperature iterations")
 
-let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed")
+let seed_arg =
+  Arg.(value & opt int defaults.seed & info [ "seed" ] ~doc:"Random seed")
 
 let schedule_arg =
   Arg.(value & opt string "lam"
        & info [ "schedule" ] ~doc:"lam | swartz | geometric | infinite")
 
 let quality_arg =
-  Arg.(value & opt float 0.003 & info [ "lam-quality" ]
-       ~doc:"Lam schedule quality parameter")
+  Arg.(value & opt (some float) None & info [ "lam-quality" ]
+       ~doc:"Lam schedule quality parameter (default: 150 / --iters, \
+             the same schedule a job or a dse-sweep cell anneals with)")
 
 let serialized_arg =
   Arg.(value & flag
@@ -373,7 +362,7 @@ let save_app_arg =
            ~docv:"FILE")
 
 let restarts_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt int defaults.restarts
        & info [ "restarts" ]
            ~doc:"Independent annealing chains (seeds derived per chain); \
                  the best one is reported")

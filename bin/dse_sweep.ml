@@ -12,8 +12,7 @@
 open Cmdliner
 module Md = Repro_workloads.Motion_detection
 module Explorer = Repro_dse.Explorer
-module Annealer = Repro_anneal.Annealer
-module Schedule = Repro_anneal.Schedule
+module Run_spec = Repro_dse.Run_spec
 module Stats = Repro_util.Stats
 module Table = Repro_util.Table
 module Parallel = Repro_util.Parallel
@@ -38,18 +37,9 @@ let sweep_cell ?engine app ~n_clb ~iters ~base_seed ~run ~stop =
   let platform = Md.platform ~n_clb () in
   let seed = base_seed + (run * 7919) + n_clb in
   let config =
-    {
-      Explorer.anneal =
-        {
-          Annealer.iterations = iters;
-          warmup_iterations = 1_200;
-          schedule = Schedule.lam ~quality:(150.0 /. float_of_int iters) ();
-          seed;
-          frozen_window = None;
-        };
-      moves = Repro_dse.Moves.fixed_architecture;
-      objective = Explorer.Makespan;
-    }
+    Run_spec.explorer_config
+      { (Run_spec.default (Run_spec.Named "motion_detection")) with
+        clbs = n_clb; iters; seed }
   in
   let result = Explorer.explore ?engine ~should_stop:stop config app platform in
   let eval = result.Explorer.best_eval in

@@ -88,7 +88,7 @@ let lam ?(quality = 0.01) ?(smoothing = 0.02) () =
     in
     { temperature; start; observe; capture; restore }
   in
-  { name = "lam"; instantiate }
+  { name = Printf.sprintf "lam:%h:%h" quality smoothing; instantiate }
 
 let swartz ?shrink () =
   (match shrink with
@@ -149,7 +149,8 @@ let swartz ?shrink () =
     in
     { temperature = (fun () -> !temperature); start; observe; capture; restore }
   in
-  { name = "swartz"; instantiate }
+  { name = Option.fold ~none:"swartz" ~some:(Printf.sprintf "swartz:%h") shrink;
+    instantiate }
 
 let geometric ?(alpha = 0.95) ?(steps_per_level = 100) () =
   if alpha <= 0.0 || alpha >= 1.0 then
@@ -176,7 +177,7 @@ let geometric ?(alpha = 0.95) ?(steps_per_level = 100) () =
     in
     { temperature = (fun () -> !temperature); start; observe; capture; restore }
   in
-  { name = "geometric"; instantiate }
+  { name = Printf.sprintf "geometric:%h:%d" alpha steps_per_level; instantiate }
 
 let infinite () =
   let instantiate () =

@@ -22,6 +22,11 @@ type instance
     {!start}). *)
 
 val name : t -> string
+(** The recipe and its construction parameters (floats in [%h]), e.g.
+    ["lam:0x1.89374bc6a7efap-9:0x1.47ae147ae147bp-6"]: two recipes
+    with equal names drive identical runs, so a checkpoint fingerprint
+    can bind it. *)
+
 val instantiate : t -> instance
 
 val temperature : instance -> float

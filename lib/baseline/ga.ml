@@ -121,15 +121,14 @@ let evolve ~population:size ~explore_impls (ctx : Engine.context) =
       decode =
         (fun text ->
           let ( let* ) = Result.bind in
+          let field = Repro_util.Checkpoint.field in
           let n = App.size app in
-          let* header, ind_lines =
-            match String.split_on_char '\n' text with
-            | header :: rest -> Ok (header, List.filter (( <> ) "") rest)
-            | [] -> Error "empty state"
+          let* header, lines =
+            field "ga" Option.some (String.split_on_char '\n' text)
           in
           let* prev =
-            match String.split_on_char ' ' header with
-            | [ "ga"; pop; prev ] -> (
+            match header with
+            | [ pop; prev ] -> (
               match (int_of_string_opt pop, float_of_string_opt prev) with
               | Some p, _ when p <> size ->
                 Error
@@ -139,11 +138,10 @@ let evolve ~population:size ~explore_impls (ctx : Engine.context) =
                      p size)
               | Some _, Some prev -> Ok prev
               | _ -> Error "bad ga line")
-            | _ -> Error "expected a ga line"
+            | _ -> Error "bad ga line"
           in
-          let parse_individual line =
-            match String.split_on_char ' ' line with
-            | "ind" :: fit :: genes :: impls
+          let individual = function
+            | fit :: genes :: impls
               when String.length genes = n && List.length impls = n -> (
               let impl_opt = List.map int_of_string_opt impls in
               match (float_of_string_opt fit, String.for_all (fun c -> c = '0' || c = '1') genes,
@@ -155,24 +153,21 @@ let evolve ~population:size ~explore_impls (ctx : Engine.context) =
                       hw = Array.init n (fun v -> genes.[v] = '1');
                       impl = Array.of_list (List.map Option.get impl_opt);
                     } )
-              | _ -> Error "bad ind line"
-            )
+              | _ -> Error "bad ind line")
             | _ -> Error "bad ind line"
           in
-          let* individuals =
-            List.fold_left
-              (fun acc line ->
-                let* acc = acc in
-                let* i = parse_individual line in
-                Ok (i :: acc))
-              (Ok []) ind_lines
+          let rec individuals k acc lines =
+            if k = size then
+              if List.for_all (( = ) "") lines then Ok (List.rev acc)
+              else Error "wrong number of individuals"
+            else
+              let* fields, lines = field "ind" Option.some lines in
+              let* i = individual fields in
+              individuals (k + 1) (i :: acc) lines
           in
-          if List.length individuals <> size then
-            Error "wrong number of individuals"
-          else begin
-            previous_best := prev;
-            Ok (Array.of_list (List.rev individuals))
-          end);
+          let* population = individuals 0 [] lines in
+          previous_best := prev;
+          Ok (Array.of_list population));
     }
   in
   Engine.drive ~codec ctx

@@ -1,5 +1,4 @@
 open Repro_taskgraph
-module Pqueue = Repro_util.Pqueue
 
 let upward_rank app ~time ~comm =
   let g = app.App.graph in
@@ -23,22 +22,56 @@ let prioritized_topological_order app ~priority =
   let g = app.App.graph in
   let n = App.size app in
   let indegree = Array.init n (fun v -> Graph.in_degree g v) in
-  let ready = Pqueue.create () in
-  (* Min-heap: negate priority so the largest priority pops first; tie
-     break on insertion order, which follows increasing task id. *)
+  (* A binary min-heap of insertion stamps ordered by (priority
+     descending, stamp): the largest priority pops first, ties in
+     insertion order, which follows increasing task id.  Plain int
+     arrays — no per-push allocation on the GA's fitness path. *)
+  let task = Array.make n 0 and prio = Array.make n 0.0 in
+  let heap = Array.make n 0 and size = ref 0 and stamps = ref 0 in
+  let before a b = prio.(a) > prio.(b) || (prio.(a) = prio.(b) && a < b) in
+  let push v =
+    let s = !stamps in
+    incr stamps;
+    task.(s) <- v;
+    prio.(s) <- priority v;
+    let i = ref !size in
+    incr size;
+    while !i > 0 && before s heap.((!i - 1) / 2) do
+      heap.(!i) <- heap.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    heap.(!i) <- s
+  in
+  let pop () =
+    let top = heap.(0) in
+    decr size;
+    let last = heap.(!size) and i = ref 0 and sifting = ref true in
+    while !sifting do
+      let c = (2 * !i) + 1 in
+      let c = if c + 1 < !size && before heap.(c + 1) heap.(c) then c + 1 else c in
+      if c < !size && before heap.(c) last then begin
+        heap.(!i) <- heap.(c);
+        i := c
+      end
+      else sifting := false
+    done;
+    heap.(!i) <- last;
+    task.(top)
+  in
   for v = 0 to n - 1 do
-    if indegree.(v) = 0 then Pqueue.push ready (-.priority v) v
+    if indegree.(v) = 0 then push v
   done;
   let rec drain acc =
-    match Pqueue.pop ready with
-    | None -> List.rev acc
-    | Some (_, v) ->
+    if !size = 0 then List.rev acc
+    else begin
+      let v = pop () in
       List.iter
         (fun w ->
           indegree.(w) <- indegree.(w) - 1;
-          if indegree.(w) = 0 then Pqueue.push ready (-.priority w) w)
+          if indegree.(w) = 0 then push w)
         (List.sort compare (Graph.succs g v));
       drain (v :: acc)
+    end
   in
   let order = drain [] in
   assert (List.length order = n);

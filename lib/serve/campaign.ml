@@ -253,7 +253,7 @@ let report spool t =
         match state with
         | Filed fields ->
           Option.map
-            (fun makespan -> (entry.name, entry.job.Job.clbs, makespan))
+            (fun makespan -> (entry.name, entry.job.Job.spec.clbs, makespan))
             (Json.num_field fields "makespan")
         | _ -> None)
       states

@@ -75,12 +75,12 @@ let result_json job ~status ~attempts ~result ~restart_statuses ~degraded =
        ~lead:[ ("job", Str job.Job.name) ]
        ~after_run:
          [
-           ("seed", num_int job.Job.seed);
-           ("restarts", num_int job.Job.restarts);
+           ("seed", num_int job.Job.spec.seed);
+           ("restarts", num_int job.Job.spec.restarts);
            ("attempts", num_int attempts);
          ]
        ~after_solution:
-         (match job.Job.engine with
+         (match job.Job.spec.engine with
           | Some e -> [ ("engine", Str e) ]
           | None -> [])
        result)
@@ -106,12 +106,12 @@ let run_attempt config spool job ~attempts ~stop ~deadline_expired =
        member states inside the regular work/<base>.ckpt file, plus one
        .ckpt.m<i> scratch per live member. *)
     let engine =
-      match Explorer.resolve_engine (Option.value job.Job.engine ~default:"sa")
+      match Explorer.resolve_engine (Option.value job.Job.spec.engine ~default:"sa")
       with
       | Ok engine -> engine
       | Error msg -> failwith msg
     in
-    if job.Job.restarts <= 1 then begin
+    if job.Job.spec.restarts <= 1 then begin
       (* Opportunistic resume: a stale or foreign checkpoint is warned
          about and ignored, never poisoning the job; a deadline
          interrupt flushes a final checkpoint, which the timed-out
@@ -155,7 +155,7 @@ let run_attempt config spool job ~attempts ~stop ~deadline_expired =
       let report =
         Explorer.explore_restarts_supervised ~jobs:config.jobs
           ~should_stop:stop ?engine ~restart_checkpoint
-          ~restarts:job.Job.restarts explorer_config app platform
+          ~restarts:job.Job.spec.restarts explorer_config app platform
       in
       (* A stop that is not the job's deadline is the daemon shutting
          down, whatever the chains salvaged: the job goes back to the

@@ -1,78 +1,12 @@
 module Json = Repro_util.Json_lite
-module Explorer = Repro_dse.Explorer
-module Annealer = Repro_anneal.Annealer
-module Schedule = Repro_anneal.Schedule
+module Run_spec = Repro_dse.Run_spec
 
-type source = Named of string | From_file of string
+type t = { name : string; timeout : float option; spec : Run_spec.t }
 
-type t = {
-  name : string;
-  app : source;
-  platform_file : string option;
-  clbs : int;
-  iters : int;
-  warmup : int;
-  seed : int;
-  restarts : int;
-  timeout : float option;
-  serialized : bool;
-  engine : string option;
-}
-
-let known_fields =
-  [
-    "app"; "app_file"; "platform_file"; "clbs"; "iters"; "warmup"; "seed";
-    "restarts"; "timeout"; "serialized"; "engine";
-  ]
-
-(* A job file is one flat JSON object.  Unknown keys and ill-typed
-   values are hard errors: a poison job must be quarantined with a
-   message naming the problem, not half-run with silently dropped
-   fields. *)
 let of_json ~name text =
   let ( let* ) = Result.bind in
   let* fields = Json.parse_obj text in
-  let* () =
-    match
-      List.find_opt (fun (k, _) -> not (List.mem k known_fields)) fields
-    with
-    | Some (k, _) ->
-      Error
-        (Printf.sprintf "unknown job field %S (want %s)" k
-           (String.concat "|" known_fields))
-    | None -> Ok ()
-  in
-  let int_field key default =
-    match Json.find fields key with
-    | None -> Ok default
-    | Some v -> (
-      match Json.get_int v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "job field %S wants an integer" key))
-  in
-  let* app =
-    match (Json.str_field fields "app", Json.str_field fields "app_file") with
-    | Some _, Some _ -> Error "job declares both \"app\" and \"app_file\""
-    | Some name, None -> Ok (Named name)
-    | None, Some path -> Ok (From_file path)
-    | None, None -> (
-      match Json.find fields "app" with
-      | Some _ -> Error "job field \"app\" wants a string"
-      | None -> Error "job declares neither \"app\" nor \"app_file\"")
-  in
-  let* platform_file =
-    match Json.find fields "platform_file" with
-    | None -> Ok None
-    | Some v -> (
-      match Json.get_str v with
-      | Some s -> Ok (Some s)
-      | None -> Error "job field \"platform_file\" wants a string")
-  in
-  let* clbs = int_field "clbs" 2000 in
-  let* iters = int_field "iters" 20_000 in
-  let* warmup = int_field "warmup" 1_200 in
-  let* seed = int_field "seed" 1 in
-  let* restarts = int_field "restarts" 1 in
+  let* spec = Run_spec.of_fields ~extra:[ "timeout" ] fields in
   let* timeout =
     match Json.find fields "timeout" with
     | None -> Ok None
@@ -82,120 +16,12 @@ let of_json ~name text =
       | Some _ -> Error "job field \"timeout\" wants positive seconds"
       | None -> Error "job field \"timeout\" wants a number")
   in
-  let* serialized =
-    match Json.find fields "serialized" with
-    | None -> Ok false
-    | Some v -> (
-      match Json.get_bool v with
-      | Some b -> Ok b
-      | None -> Error "job field \"serialized\" wants a boolean")
-  in
-  let* engine =
-    match Json.find fields "engine" with
-    | None -> Ok None
-    | Some v -> (
-      match Json.get_str v with
-      | Some "" -> Error "job field \"engine\" wants a non-empty name"
-      | Some s -> Ok (Some s)
-      | None -> Error "job field \"engine\" wants a string")
-  in
-  let* () =
-    if iters < 1 || warmup < 0 then Error "job wants iters >= 1, warmup >= 0"
-    else if restarts < 1 then Error "job wants restarts >= 1"
-    else if clbs < 1 then Error "job wants clbs >= 1"
-    else if serialized && engine <> None then
-      Error "job field \"serialized\" only applies to the native annealer \
-             (drop the \"engine\" field)"
-    else Ok ()
-  in
-  Ok
-    {
-      name; app; platform_file; clbs; iters; warmup; seed; restarts; timeout;
-      serialized; engine;
-    }
+  Ok { name; timeout; spec }
 
 let to_json job =
-  let open Json in
-  let fields =
-    (match job.app with
-     | Named n -> [ ("app", Str n) ]
-     | From_file p -> [ ("app_file", Str p) ])
-    @ (match job.platform_file with
-       | Some p -> [ ("platform_file", Str p) ]
-       | None -> [])
-    @ [
-        ("clbs", num_int job.clbs);
-        ("iters", num_int job.iters);
-        ("warmup", num_int job.warmup);
-        ("seed", num_int job.seed);
-        ("restarts", num_int job.restarts);
-      ]
-    @ (match job.timeout with Some t -> [ ("timeout", Num t) ] | None -> [])
-    @ (match job.serialized with true -> [ ("serialized", Bool true) ] | false -> [])
-    @ (match job.engine with Some e -> [ ("engine", Str e) ] | None -> [])
-  in
-  obj fields
+  Json.obj
+    (Run_spec.to_fields job.spec
+    @ match job.timeout with Some t -> [ ("timeout", Json.Num t) ] | None -> [])
 
-(* Input loading mirrors the CLIs (same parsers, same one-line
-   located errors) but returns [Error] instead of exiting: the daemon
-   quarantines a job whose inputs do not load. *)
-let locate path msg =
-  match Scanf.sscanf_opt msg "line %d: " (fun n -> n) with
-  | Some n ->
-    let skip = String.length (Printf.sprintf "line %d: " n) in
-    Printf.sprintf "%s:%d: %s" path n
-      (String.sub msg skip (String.length msg - skip))
-  | None -> Printf.sprintf "%s: %s" path msg
-
-let load_inputs job =
-  let ( let* ) = Result.bind in
-  let* app =
-    match job.app with
-    | Named name -> (
-      match List.assoc_opt name Repro_workloads.Suite.named with
-      | Some make -> Ok (make ())
-      | None ->
-        Error
-          (Printf.sprintf "unknown application %S (try: %s)" name
-             (String.concat ", "
-                (List.map fst Repro_workloads.Suite.named))))
-    | From_file path -> (
-      match Repro_taskgraph.App_io.load path with
-      | Ok app -> Ok app
-      | Error msg -> Error (locate path msg))
-  in
-  let* platform =
-    match job.platform_file with
-    | Some path -> (
-      match Repro_arch.Platform_io.load path with
-      | Ok p -> Ok p
-      | Error msg -> Error (locate path msg))
-    | None -> (
-      match job.app with
-      | Named "motion_detection" | From_file _ ->
-        Ok (Repro_workloads.Motion_detection.platform ~n_clb:job.clbs ())
-      | Named _ -> Ok (Repro_workloads.Suite.platform_for app))
-  in
-  let spec =
-    Repro_dse.Solution.spec (Repro_dse.Solution.all_software app platform)
-  in
-  match Repro_sched.Validate.evaluated spec with
-  | Ok () -> Ok (app, platform)
-  | Error problems ->
-    Error ("invalid input model: " ^ String.concat "; " problems)
-
-let explorer_config job =
-  {
-    Explorer.anneal =
-      {
-        Annealer.iterations = job.iters;
-        warmup_iterations = job.warmup;
-        schedule = Schedule.lam ~quality:(150.0 /. float_of_int job.iters) ();
-        seed = job.seed;
-        frozen_window = None;
-      };
-    moves = Repro_dse.Moves.fixed_architecture;
-    objective =
-      (if job.serialized then Explorer.Makespan_serialized
-       else Explorer.Makespan);
-  }
+let load_inputs job = Run_spec.load_inputs job.spec
+let explorer_config job = Run_spec.explorer_config job.spec

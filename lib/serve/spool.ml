@@ -163,22 +163,51 @@ let claim ?owner t name =
 let read_claim_stamp t name =
   Result.bind (Atomic_io.read_file (claim_stamp_path t name)) Json.parse_obj
 
-let claim_band t name =
-  match read_claim_stamp t name with
-  | Ok fields -> Option.value ~default:0 (Json.int_field fields "band")
-  | Error _ -> 0
+(* Return a claim to the queue, into the band its stamp records.
+   [stamp] is the stamp's text as the caller judged it ([None]: there
+   was none).  Stamp first, rename second, and the stamp is taken with
+   one atomic rename: of several reclaimers racing on one orphan
+   exactly one wins it and moves the work file, and a stamp that no
+   longer reads as judged — a peer re-queued the orphan first and a
+   live owner has claimed it since — is put back untouched.  Once the
+   job is back in [jobs/] another daemon may claim and stamp it
+   instantly; that fresh stamp is never the one removed. *)
+let requeue t name ~stamp =
+  let stamp_path = claim_stamp_path t name in
+  let move band =
+    if band > 0 then mkdir_p (band_dir t band);
+    match Unix.rename (work_path t name) (Filename.concat (band_dir t band) name) with
+    | () -> true
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> false
+  in
+  match stamp with
+  | None -> (not (Sys.file_exists stamp_path)) && move 0
+  | Some judged -> (
+    let taken =
+      Printf.sprintf "%s.tmp.reclaim.%d.%d" stamp_path (Unix.getpid ())
+        (Domain.self () :> int)
+    in
+    match Unix.rename stamp_path taken with
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> false
+    | () -> (
+      match Atomic_io.read_file taken with
+      | Ok text when text = judged ->
+        let band =
+          match Json.parse_obj text with
+          | Ok fields -> Option.value ~default:0 (Json.int_field fields "band")
+          | Error _ -> 0
+        in
+        let moved = move band in
+        remove_if_exists taken;
+        moved
+      | Ok _ | Error _ ->
+        (try Unix.rename taken stamp_path with Unix.Unix_error _ -> ());
+        false))
 
-(* Stamp first, rename second: once the job is back in [jobs/] another
-   daemon may claim and stamp it instantly, and that fresh stamp must
-   never be the one we remove. *)
-let unclaim t name =
-  let band = claim_band t name in
-  remove_if_exists (claim_stamp_path t name);
-  let dest = Filename.concat (band_dir t band) name in
-  if band > 0 then mkdir_p (band_dir t band);
-  match Unix.rename (work_path t name) dest with
-  | () -> ()
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+let read_stamp_text t name =
+  Result.to_option (Atomic_io.read_file (claim_stamp_path t name))
+
+let unclaim t name = ignore (requeue t name ~stamp:(read_stamp_text t name))
 
 let enqueue ?(priority = 0) t ~name ~text =
   if priority < 0 then invalid_arg "Spool.enqueue: negative priority";
@@ -349,14 +378,19 @@ let quarantine ?owner ?attempts t name ~reason =
       ]
     | None -> []
   in
-  Atomic_io.write_string
-    (failed_path t (base name ^ ".reason.json"))
-    (obj ([ ("job", Str name); ("reason", Str reason) ] @ forensics) ^ "\n");
-  remove_checkpoints t name;
-  remove_if_exists (claim_stamp_path t name);
-  (match Unix.rename (work_path t name) (failed_path t name) with
-   | () -> ()
-   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ())
+  (* Rename first: the work file is the claim.  If it is gone, the job
+     is no longer ours to give up (a peer finished or re-queued it), and
+     a reason or a stamp removal would only damage the peer's outcome.
+     A crash after the rename leaves a quarantined job without its
+     reason, never a reason without its job. *)
+  match Unix.rename (work_path t name) (failed_path t name) with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | () ->
+    remove_checkpoints t name;
+    remove_if_exists (claim_stamp_path t name);
+    Atomic_io.write_string
+      (failed_path t (base name ^ ".reason.json"))
+      (obj ([ ("job", Str name); ("reason", Str reason) ] @ forensics) ^ "\n")
 
 (* Reclaim: the continuously-runnable sweep of [work/].  Safety rests
    on three rules.  (1) A claim whose result exists is finished
@@ -408,7 +442,7 @@ let result_ok t name =
   | Error _ -> false
   | Ok text -> Result.is_ok (Json.parse_obj text)
 
-let reclaim ?self ?ledger ~now ~grace t =
+let reclaim ?self ?ledger ?(before_requeue = ignore) ~now ~grace t =
   sweep_orphan_temps ~now ~grace t;
   let leases = Hashtbl.create 7 in
   List.iter
@@ -438,27 +472,30 @@ let reclaim ?self ?ledger ~now ~grace t =
         None
       end
       else
-        let requeue () =
-          (* Back to the queue; any checkpoint the run flushed stays in
-             work/ so the next claim resumes it. *)
-          unclaim t name;
-          Some name
+        (* Back to the queue; any checkpoint the run flushed stays in
+           work/ so the next claim resumes it. *)
+        let orphan stamp =
+          before_requeue name;
+          if requeue t name ~stamp then Some name else None
         in
-        match read_claim_stamp t name with
-        | Ok stamp -> (
-          match Json.str_field stamp "owner" with
+        (* Stamp-less (or damaged stamp): age-gate on the work file. *)
+        let aged_orphan stamp =
+          match Unix.stat (work_path t name) with
+          | stat when now -. stat.Unix.st_mtime >= grace -> orphan stamp
+          | _ -> None
+          | exception Unix.Unix_error _ -> None
+        in
+        let stamp = read_stamp_text t name in
+        match Option.map Json.parse_obj stamp with
+        | None | Some (Error _) -> aged_orphan stamp
+        | Some (Ok fields) -> (
+          match Json.str_field fields "owner" with
           | Some owner when Some owner = self -> None
           | Some owner -> (
             match Hashtbl.find_opt leases owner with
             | Some view when peer_alive view -> None
-            | Some _ | None -> requeue ())
-          | None -> requeue ())
-        | Error _ -> (
-          (* Stamp-less (or damaged stamp): age-gate on the work file. *)
-          match Unix.stat (work_path t name) with
-          | stat when now -. stat.Unix.st_mtime >= grace -> requeue ()
-          | _ -> None
-          | exception Unix.Unix_error _ -> None))
+            | Some _ | None -> orphan stamp)
+          | None -> orphan stamp))
     (in_work t)
 
 (* Startup-time recovery, kept for single-daemon callers: an immediate

@@ -138,13 +138,15 @@ val finish_fenced :
 val quarantine :
   ?owner:Lease.t -> ?attempts:int -> t -> string -> reason:string -> unit
 (** Move a claimed poison job to [failed/<name>] and record a one-line
-    [failed/<base>.reason.json].  [owner] and [attempts] add the
+    [failed/<base>.reason.json] — in that order, and only when the
+    claimed file is still in [work/]: a claim a peer took over is left
+    alone, with no reason filed.  [owner] and [attempts] add the
     forensics trail: which daemon gave up ([daemon_id], [lease_seq])
     and after how many tries. *)
 
 val reclaim :
-  ?self:string -> ?ledger:Lease.Ledger.t -> now:float -> grace:float -> t ->
-  string list
+  ?self:string -> ?ledger:Lease.Ledger.t -> ?before_requeue:(string -> unit) ->
+  now:float -> grace:float -> t -> string list
 (** The continuously-runnable sweep of [work/]; safe to call from any
     daemon at any time.  Claims whose result exists {e and parses} are
     finished cleanup (a torn result must not cost the work copy and
@@ -160,7 +162,13 @@ val reclaim :
     to the peer's clock skew.  Atomic-write temp files orphaned in
     [work/] by a hard kill are swept too (once older than
     [max grace 60] seconds, so a live peer's in-flight write is never
-    deleted).  Returns the re-queued names. *)
+    deleted).  A requeue takes the stamp it judged with one atomic
+    rename and only moves the work file when the stamp still reads as
+    judged, so of several reclaimers racing on one orphan exactly one
+    re-queues it, and none ever moves a claim re-issued since.
+    [before_requeue] is test instrumentation, called with the job name
+    between that judgement and the requeue.  Returns the re-queued
+    names. *)
 
 val recover : t -> string list
 (** Startup-time sweep for single-daemon callers: {!reclaim} with zero

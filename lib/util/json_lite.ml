@@ -165,6 +165,7 @@ let parse text =
         let rec fields acc =
           skip_ws ();
           let key = string_body () in
+          if List.mem_assoc key acc then fail "repeated key %S" key;
           skip_ws ();
           expect ':';
           let v = value () in
@@ -222,8 +223,11 @@ let get_str = function Str s -> Some s | _ -> None
 let get_num = function Num x -> Some x | _ -> None
 let get_bool = function Bool b -> Some b | _ -> None
 
+(* Only integers a float represents exactly: beyond 2^53 a JSON number
+   no longer names one integer, and [int_of_float] would wrap. *)
 let get_int = function
-  | Num x when Float.is_integer x -> Some (int_of_float x)
+  | Num x when Float.is_integer x && Float.abs x <= 0x1p53 ->
+    Some (int_of_float x)
   | _ -> None
 
 let str_field fields key = Option.bind (find fields key) get_str

@@ -32,7 +32,8 @@ val obj : (string * t) list -> string
 
 val parse : string -> (t, string) result
 (** Parse a complete JSON value; every failure is a one-line message
-    with a byte offset. *)
+    with a byte offset.  An object that binds a key twice is a failure:
+    {!find} would silently take the first binding. *)
 
 val parse_obj : string -> ((string * t) list, string) result
 (** {!parse} restricted to a top-level object. *)
@@ -42,7 +43,8 @@ val find : (string * t) list -> string -> t option
 val get_str : t -> string option
 val get_num : t -> float option
 val get_int : t -> int option
-(** [None] unless the number is integral. *)
+(** [None] unless the number is integral and within ±2{^53}, where
+    every integer is exact. *)
 
 val get_bool : t -> bool option
 

@@ -198,6 +198,66 @@ let test_reclaim_cleans_finished_claim () =
   Alcotest.(check (list string)) "claim swept" [] (Spool.in_work spool);
   Alcotest.(check (list string)) "not re-queued" [] (Spool.pending spool)
 
+(* The chaos drill's lost-job interleaving, replayed step by step:
+   reclaimer B judges a dead owner's stamp; before B acts, a faster
+   reclaimer A re-queues the orphan and a live daemon C claims it
+   again.  B must then leave C's fresh claim alone — stamp and work
+   file — instead of stripping the stamp and re-queueing live work. *)
+let test_reclaim_race_spares_fresh_claim () =
+  with_spool @@ fun spool ->
+  let dir = spool.Spool.daemons_dir in
+  let dead = Lease.acquire ~id:"dead-x" ~dir ~ttl:0.01 () in
+  let live = Lease.acquire ~id:"live-c" ~dir ~ttl:60.0 () in
+  enqueue spool "c2.json" (tiny_job ());
+  Alcotest.(check bool) "claimed by the doomed daemon" true
+    (Spool.claim ~owner:dead spool "c2.json");
+  Unix.sleepf 0.03;
+  let now = Clock.wall () in
+  let raced = ref false in
+  let requeued_by_b =
+    Spool.reclaim ~self:"reclaimer-b" ~now ~grace:60.0 spool
+      ~before_requeue:(fun name ->
+        if not !raced then begin
+          raced := true;
+          Alcotest.(check (list string)) "A re-queues the orphan" [ name ]
+            (Spool.reclaim ~self:"reclaimer-a" ~now ~grace:60.0 spool);
+          Alcotest.(check bool) "C claims it again" true
+            (Spool.claim ~owner:live spool name)
+        end)
+  in
+  Alcotest.(check bool) "B judged the orphan" true !raced;
+  Alcotest.(check (list string)) "B re-queues nothing" [] requeued_by_b;
+  Alcotest.(check (list string)) "C's claim stays in work/" [ "c2.json" ]
+    (Spool.in_work spool);
+  Alcotest.(check (list string)) "nothing queued" [] (Spool.pending spool);
+  (match Spool.read_claim_stamp spool "c2.json" with
+   | Ok fields ->
+     Alcotest.(check (option string)) "the stamp still names C"
+       (Some "live-c") (Json.str_field fields "owner")
+   | Error msg -> Alcotest.fail msg);
+  Alcotest.(check bool) "C reads its claimed job" true
+    (Result.is_ok (Spool.read_claimed spool "c2.json"))
+
+(* A daemon whose claim a peer took over (the work file is gone) gives
+   up nothing: no reason lands in failed/ beside a job that is not
+   there, and the job stays queued for whoever claims it next. *)
+let test_quarantine_of_lost_claim_files_nothing () =
+  with_spool @@ fun spool ->
+  let lease =
+    Lease.acquire ~id:"loser-d" ~dir:spool.Spool.daemons_dir ~ttl:60.0 ()
+  in
+  enqueue spool "c2.json" (tiny_job ());
+  Alcotest.(check bool) "claimed" true (Spool.claim ~owner:lease spool "c2.json");
+  Unix.rename (Spool.work_path spool "c2.json") (Spool.job_path spool "c2.json");
+  Spool.quarantine ~owner:lease ~attempts:1 spool "c2.json"
+    ~reason:"Sys_error(\"No such file or directory\")";
+  Alcotest.(check bool) "no orphan reason" false
+    (Sys.file_exists (Spool.failed_path spool "c2.reason.json"));
+  Alcotest.(check bool) "no quarantined copy" false
+    (Sys.file_exists (Spool.failed_path spool "c2.json"));
+  Alcotest.(check (list string)) "the job is still queued" [ "c2.json" ]
+    (Spool.pending spool)
+
 (* ---- campaign manifests ------------------------------------------- *)
 
 let manifest =
@@ -221,7 +281,7 @@ let test_campaign_parse () =
     (t.Campaign.predicate = Campaign.All_filed);
   let e = List.hd t.Campaign.entries in
   Alcotest.(check string) "entry name" "n1" e.Campaign.name;
-  Alcotest.(check int) "entry seed parsed" 3 e.Campaign.job.Repro_serve.Job.seed;
+  Alcotest.(check int) "entry seed parsed" 3 e.Campaign.job.Repro_serve.Job.spec.Repro_dse.Run_spec.seed;
   Alcotest.(check bool) "name stripped from the written spec" false
     (Option.is_some
        (Result.bind (Json.parse_obj e.Campaign.text) (fun fields ->
@@ -489,6 +549,10 @@ let suite =
       test_reclaim_stampless_grace;
     Alcotest.test_case "finished claims are cleanup, not re-runs" `Quick
       test_reclaim_cleans_finished_claim;
+    Alcotest.test_case "racing reclaimers spare a fresh claim" `Quick
+      test_reclaim_race_spares_fresh_claim;
+    Alcotest.test_case "quarantine of a lost claim files nothing" `Quick
+      test_quarantine_of_lost_claim_files_nothing;
     Alcotest.test_case "campaign manifest parses" `Quick test_campaign_parse;
     Alcotest.test_case "campaign rejects bad manifests whole" `Quick
       test_campaign_rejects;

@@ -88,6 +88,52 @@ let test_determinism () =
   in
   Alcotest.(check (list int)) "stable across calls" (order ()) (order ())
 
+(* The ready set pops the largest priority first and, among equal
+   priorities, the task that became ready first; a direct scan of an
+   insertion-ordered ready list states that rule literally. *)
+let reference_order app ~priority =
+  let g = app.App.graph in
+  let n = App.size app in
+  let indegree = Array.init n (fun v -> Graph.in_degree g v) in
+  let rec drain ready acc =
+    match ready with
+    | [] -> List.rev acc
+    | first :: _ ->
+      let v =
+        List.fold_left
+          (fun best w -> if priority w > priority best then w else best)
+          first ready
+      in
+      let released =
+        List.filter
+          (fun w ->
+            indegree.(w) <- indegree.(w) - 1;
+            indegree.(w) = 0)
+          (List.sort compare (Graph.succs g v))
+      in
+      drain (List.filter (( <> ) v) ready @ released) (v :: acc)
+  in
+  drain (List.filter (fun v -> indegree.(v) = 0) (List.init n Fun.id)) []
+
+let qcheck_matches_reference =
+  QCheck.Test.make ~name:"prioritized order matches the reference scan"
+    ~count:200
+    QCheck.(pair small_int (int_range 1 5))
+    (fun (seed, levels) ->
+      let rng = Repro_util.Rng.create seed in
+      let app =
+        Generators.layered rng Generators.default_impl_model ~layers:5
+          ~width:6 ~edge_probability:0.3 ~mean_sw_time:2.0 ~mean_kbytes:1.0
+      in
+      (* Few distinct levels, so ties are the common case. *)
+      let levels =
+        Array.init (App.size app) (fun _ ->
+            float_of_int (Repro_util.Rng.int rng levels))
+      in
+      let priority v = levels.(v) in
+      List_sched.prioritized_topological_order app ~priority
+      = reference_order app ~priority)
+
 let suite =
   [
     Alcotest.test_case "upward rank chain" `Quick test_upward_rank_chain;
@@ -96,4 +142,5 @@ let suite =
     Alcotest.test_case "order is topological" `Quick test_order_is_topological;
     Alcotest.test_case "sw_order filters" `Quick test_sw_order_filters;
     Alcotest.test_case "determinism" `Quick test_determinism;
+    QCheck_alcotest.to_alcotest qcheck_matches_reference;
   ]

@@ -121,6 +121,18 @@ let test_fingerprint_mismatch () =
     (Explorer.explore ~checkpoint:(ckpt path Engine.Resume_never) cfg app
        platform);
   required_fails "wrong seed" (config ~seed:4) app platform path;
+  (* Every schedule parameter is bound, not just the schedule's kind: a
+     Lam run must not continue under another quality. *)
+  required_fails "wrong Lam quality"
+    {
+      cfg with
+      Explorer.anneal =
+        {
+          cfg.Explorer.anneal with
+          Annealer.schedule = Repro_anneal.Schedule.lam ~quality:0.05 ();
+        };
+    }
+    app platform path;
   required_fails "wrong platform" cfg app (Md.platform ~n_clb:999 ()) path
 
 let test_objective_mismatch () =

@@ -8,6 +8,7 @@ module Fault = Repro_util.Fault
 module Log = Repro_util.Log
 module Atomic_io = Repro_util.Atomic_io
 module Job = Repro_serve.Job
+module Run_spec = Repro_dse.Run_spec
 module Spool = Repro_serve.Spool
 module Daemon = Repro_serve.Daemon
 module Lease = Repro_serve.Lease
@@ -79,9 +80,10 @@ let test_job_defaults () =
   match Job.of_json ~name:"j1" "{\"app\": \"motion_detection\"}" with
   | Error msg -> Alcotest.fail msg
   | Ok job ->
-    Alcotest.(check int) "clbs" 2000 job.Job.clbs;
-    Alcotest.(check int) "iters" 20_000 job.Job.iters;
-    Alcotest.(check int) "restarts" 1 job.Job.restarts;
+    let spec = job.Job.spec in
+    Alcotest.(check int) "clbs" 2000 spec.Run_spec.clbs;
+    Alcotest.(check int) "iters" 20_000 spec.Run_spec.iters;
+    Alcotest.(check int) "restarts" 1 spec.Run_spec.restarts;
     Alcotest.(check bool) "no timeout" true (job.Job.timeout = None);
     (* Round-trip through to_json. *)
     (match Job.of_json ~name:"j1" (Job.to_json job) with
@@ -286,7 +288,7 @@ let test_job_engine_field () =
    | Error msg -> Alcotest.fail msg
    | Ok job ->
      Alcotest.(check (option string)) "engine parsed" (Some "greedy")
-       job.Job.engine;
+       job.Job.spec.Run_spec.engine;
      (match Job.of_json ~name:"e" (Job.to_json job) with
       | Ok again ->
         Alcotest.(check bool) "re-parses equal" true (again = job)
