@@ -856,8 +856,8 @@ let micro_move_matrix_for ~tag app platform alt_platform =
     let clo = Solution.closure s in
     let order = Solution.sw_order s in
     let independent a b =
-      (not (Repro_sched.Closure.reaches clo a b))
-      && not (Repro_sched.Closure.reaches clo b a)
+      (not (Repro_taskgraph.Closure.reaches clo a b))
+      && not (Repro_taskgraph.Closure.reaches clo b a)
     in
     let pair =
       List.find_map
@@ -1056,7 +1056,7 @@ let micro () =
   let test_closure =
     Test.make ~name:"closure of the task graph"
       (Staged.stage (fun () ->
-           ignore (Repro_sched.Closure.of_graph app.App.graph)))
+           ignore (Repro_taskgraph.Closure.of_graph app.App.graph)))
   in
   let random_rng = Rng.create 3 in
   let test_random_solution =

@@ -43,13 +43,14 @@ let spatial_only =
   }
 
 (* Validate a realized move: keep it when the search graph is acyclic
-   and capacities hold, otherwise undo and report infeasibility. *)
+   and capacities hold, otherwise undo and report infeasibility.  The
+   makespan is all a feasibility test needs: no eval record is built. *)
 let validated solution undo =
-  match Solution.evaluate solution with
-  | Some _ -> Some undo
-  | None ->
+  if Solution.makespan solution < infinity then Some undo
+  else begin
     undo ();
     None
+  end
 
 (* A uniformly drawn hardware task: the single draw
    [Rng.choice_list rng (Solution.hw_tasks solution)] makes, without

@@ -116,14 +116,16 @@ module Int_tbl = Hashtbl.Make (struct
 end)
 
 (* A growable int buffer, reused across moves: the packed before- and
-   after-pairs of a structural move are written here, not consed. *)
+   after-pairs of a structural move are written here, not consed, and
+   so is the solution-array journal.  Storage is allocated on the
+   first push. *)
 type ibuf = { mutable data : int array; mutable len : int }
 
-let ibuf_create () = { data = Array.make 64 0; len = 0 }
+let ibuf_create () = { data = [||]; len = 0 }
 
 let ibuf_push b x =
   if b.len = Array.length b.data then begin
-    let grown = Array.make (2 * b.len) 0 in
+    let grown = Array.make (max 64 (2 * b.len)) 0 in
     Array.blit b.data 0 grown 0 b.len;
     b.data <- grown
   end;
@@ -234,23 +236,42 @@ let check_deltas =
 let set_check_deltas enabled = check_deltas := enabled
 let check_deltas_enabled () = !check_deltas
 
+(* What the solution knows about its own evaluation.  [Feasible m] is
+   the makespan read off the live incremental state, whose eval record
+   (with its n+k finish array) has not been built: the annealer only
+   ever asks for the makespan, so the record is built on demand by
+   {!evaluate} and {!copy}. *)
+type cache =
+  | Stale                             (* mutated since the last evaluation *)
+  | Feasible of float
+  | Known of Searchgraph.eval option  (* [None]: infeasible *)
+
 (* assign.(v) = -(p+1) when the task runs in software on processor p
    (so -1 is the primary processor), otherwise the stable id (>= 0) of
    its context.  Stable ids survive context insertions and removals;
    the execution order of contexts is the order of the [contexts]
-   association list.  [sw.(p)] is the execution order of processor p. *)
+   association list.  [sw.(p)] is the execution order of processor p;
+   the array is copy-on-write (see [set_sw]), so a saved or copied
+   pointer to it never sees a later move.
+
+   Every write to [assign] and [impl] goes through [write_assign] /
+   [write_impl], which push the overwritten value to [journal] as a
+   pair (slot, old value), slot = 2v for [assign.(v)] and 2v+1 for
+   [impl.(v)].  An undo replays the journal back to its save point, so
+   saving costs O(1) instead of copying both arrays. *)
 type t = {
   app : App.t;
-  clo : Closure.t;
   mutable platform : Platform.t;
   assign : int array;
   impl : int array;
   mutable sw : int list array;
   mutable ctxs : (int * int list) list;
   mutable next_ctx : int;
-  mutable cached : Searchgraph.eval option option;
+  mutable cached : cache;
   mutable incr : incr option;
   mutable last_kind : move_kind;
+  journal : ibuf;
+  mutable journal_epoch : int;     (* bumped when the journal is truncated *)
   stats : eval_stats;
 }
 
@@ -261,7 +282,7 @@ let processor_index t v =
 
 let app t = t.app
 let platform t = t.platform
-let closure t = t.clo
+let closure t = t.app.App.closure
 let size t = App.size t.app
 
 (* Contexts are never empty, so a solution over n tasks has at most n
@@ -271,14 +292,27 @@ let cap_of t = size t
 (* Retire the incremental state to storage-donor duty: the next
    evaluation rebuilds from scratch (recycling the arrays). *)
 let invalidate t =
-  t.cached <- None;
+  t.cached <- Stale;
   match t.incr with Some inc -> inc.valid <- false | None -> ()
 
 let eval_stats t = t.stats
 
-(* Shared closures are computed once per application and reused by
-   copies; a weak-keyed cache would be overkill here. *)
-let closure_of_app application = Closure.of_graph application.App.graph
+let make application platform ~assign ~impl ~sw ~ctxs =
+  {
+    app = application;
+    platform;
+    assign;
+    impl;
+    sw;
+    ctxs;
+    next_ctx = List.length ctxs;
+    cached = Stale;
+    incr = None;
+    last_kind = Init;
+    journal = ibuf_create ();
+    journal_epoch = 0;
+    stats = fresh_stats ();
+  }
 
 let all_software application platform =
   let n = App.size application in
@@ -286,35 +320,43 @@ let all_software application platform =
   let processors = Platform.processor_count platform in
   let sw = Array.make processors [] in
   sw.(0) <- order;
-  {
-    app = application;
-    clo = closure_of_app application;
-    platform;
-    assign = Array.make n (-1);
-    impl = Array.make n 0;
-    sw;
-    ctxs = [];
-    next_ctx = 0;
-    cached = None;
-    incr = None;
-    last_kind = Init;
-    stats = fresh_stats ();
-  }
+  make application platform ~assign:(Array.make n (-1)) ~impl:(Array.make n 0)
+    ~sw ~ctxs:[]
 
-(* Copies never share the incremental state: it tracks one solution's
-   mutations and would be corrupted by a sibling's.  The stats record
-   stays shared so a solution and its snapshots count together. *)
-let copy t =
-  {
-    t with
-    assign = Array.copy t.assign;
-    impl = Array.copy t.impl;
-    sw = Array.copy t.sw;
-    cached = t.cached;
-    incr = None;
-  }
+(* --- the solution-array journal --- *)
 
-let snapshot = copy
+let write_assign t v a =
+  let old = t.assign.(v) in
+  if old <> a then begin
+    ibuf_push t.journal (2 * v);
+    ibuf_push t.journal old;
+    t.assign.(v) <- a
+  end
+
+let write_impl t v k =
+  let old = t.impl.(v) in
+  if old <> k then begin
+    ibuf_push t.journal ((2 * v) + 1);
+    ibuf_push t.journal old;
+    t.impl.(v) <- k
+  end
+
+(* Undo the array writes made since [mark], newest first. *)
+let journal_rewind t ~mark =
+  let j = t.journal in
+  while j.len > mark do
+    let len = j.len - 2 in
+    let slot = j.data.(len) and old = j.data.(len + 1) in
+    if slot land 1 = 0 then t.assign.(slot lsr 1) <- old
+    else t.impl.(slot lsr 1) <- old;
+    j.len <- len
+  done
+
+(* Copy-on-write update of one processor order. *)
+let set_sw t p order =
+  let sw = Array.copy t.sw in
+  sw.(p) <- order;
+  t.sw <- sw
 
 (* --- delta-log plumbing --- *)
 
@@ -369,52 +411,10 @@ let rollback inc ~mark =
     | Touch vs -> List.iter (mark_dirty inc) vs
   done
 
-(* Undo closures outliving this many log entries are long dead (undo is
-   LIFO and one-shot), so [save] resets the log once it grows past the
-   threshold. *)
+(* Undo closures outliving this many log (or journal) entries are long
+   dead (undo is LIFO and one-shot), so [save] resets the log and the
+   journal once they grow past the threshold. *)
 let log_truncate_threshold = 8192
-
-let save t =
-  let assign = Array.copy t.assign in
-  let impl = Array.copy t.impl in
-  let sw = Array.copy t.sw in
-  let ctxs = t.ctxs in
-  let next_ctx = t.next_ctx in
-  let cached = t.cached in
-  let platform = t.platform in
-  let last_kind = t.last_kind in
-  let mark =
-    match t.incr with
-    | Some inc when inc.valid && not inc.desync ->
-      if inc.log_len > log_truncate_threshold then begin
-        inc.log_len <- 0;
-        inc.epoch <- inc.epoch + 1
-      end;
-      Some (inc, inc.epoch, inc.log_len)
-    | Some _ | None -> None
-  in
-  fun () ->
-    (* The incremental state rolls its delta log back to the save
-       point when it is still the same generation; any mismatch (a
-       rebuild happened in between, the log was truncated, undos ran
-       out of order) degrades it to storage-donor duty — the solution
-       arrays are restored either way. *)
-    (match (t.incr, mark) with
-     | Some inc, Some (saved, epoch, len)
-       when inc == saved && inc.epoch = epoch && inc.log_len >= len
-            && inc.valid ->
-       rollback inc ~mark:len;
-       inc.desync <- false
-     | Some inc, _ -> inc.valid <- false
-     | None, _ -> ());
-    Array.blit assign 0 t.assign 0 (Array.length assign);
-    Array.blit impl 0 t.impl 0 (Array.length impl);
-    t.sw <- Array.copy sw;
-    t.ctxs <- ctxs;
-    t.next_ctx <- next_ctx;
-    t.cached <- cached;
-    t.platform <- platform;
-    t.last_kind <- last_kind
 
 let binding t v =
   if t.assign.(v) < 0 then Searchgraph.Sw
@@ -655,7 +655,7 @@ let sym_diff_pairs a b =
    regenerated and the emitted delta asserted against the
    regenerate-and-diff reference. *)
 let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
-  t.cached <- None;
+  t.cached <- Stale;
   t.last_kind <- kind;
   match t.incr with
   | None -> ()
@@ -873,12 +873,38 @@ let native_resync t kind ~rebound ~sw_around ~old_sw ~old_ctxs =
       ks.k_edges_edited <- ks.k_edges_edited + !edited
     end
 
+(* The makespan off the live state: the maximum finish time over the
+   task nodes and the live configuration slots — the fold
+   [eval_from_incr] makes, without building its finish array.  The
+   comparison is written out (NaN propagates as through [Float.max];
+   finish times are never -0.) so the loops allocate nothing. *)
+let incr_makespan t inc =
+  let n = size t in
+  let finish = Longest_path.finish_array inc.lp in
+  let m = ref 0.0 in
+  for v = 0 to n - 1 do
+    let f = finish.(v) in
+    if f > !m || f <> f then m := f
+  done;
+  let rest = ref t.ctxs in
+  let more = ref true in
+  while !more do
+    match !rest with
+    | [] -> more := false
+    | (cid, _) :: tail ->
+      let f = finish.(n + Int_tbl.find inc.slot_of cid) in
+      if f > !m || f <> f then m := f;
+      rest := tail
+  done;
+  !m
+
 (* Assemble the evaluation from the live state, reading only the
    canonical nodes (tasks, then live configuration slots in context
    execution order) so retired slots are invisible.  The folds run in
    the same order as [Searchgraph.evaluate]'s, keeping the result
-   bit-identical to a rebuild. *)
-let eval_from_incr t inc =
+   bit-identical to a rebuild; [makespan] is [incr_makespan]'s, the
+   maximum of the same finish times. *)
+let eval_from_incr t inc ~makespan =
   let n = size t in
   let k = List.length t.ctxs in
   let lp_finish = Longest_path.finish_array inc.lp in
@@ -893,22 +919,20 @@ let eval_from_incr t inc =
       if j = 0 then initial_reconfig := inc.weights.(s)
       else dynamic_reconfig := !dynamic_reconfig +. inc.weights.(s))
     t.ctxs;
-  let makespan = Array.fold_left Float.max 0.0 finish in
   let initial_reconfig = !initial_reconfig in
-  Some
-    {
-      Searchgraph.makespan;
-      initial_reconfig;
-      dynamic_reconfig = !dynamic_reconfig;
-      comm = Searchgraph.Comm.total inc.comm;
-      n_contexts = k;
-      finish;
-    }
+  {
+    Searchgraph.makespan;
+    initial_reconfig;
+    dynamic_reconfig = !dynamic_reconfig;
+    comm = Searchgraph.Comm.total inc.comm;
+    n_contexts = k;
+    finish;
+  }
 
 (* Full (re)build: construct the slotted search graph and longest-path
    state directly (contexts take slots 0..k-1), recycling the retired
    state's storage when the sizes match, and keep the result alive for
-   the incremental path. *)
+   the incremental path.  Returns the solution's new cache value. *)
 let evaluate_full t =
   let n = size t in
   let total = n + cap_of t in
@@ -970,7 +994,7 @@ let evaluate_full t =
       ~node_weight:(fun v -> weights.(v))
       ~edge_weight:(edge_weight_over ~n ~in_edge comm)
   with
-  | None -> None
+  | None -> Known None
   | Some lp ->
     t.stats.full_evals <- t.stats.full_evals + 1;
     t.stats.full_nodes <- t.stats.full_nodes + n + k;
@@ -1019,7 +1043,7 @@ let evaluate_full t =
       }
     in
     t.incr <- Some inc;
-    eval_from_incr t inc
+    Feasible (incr_makespan t inc)
 
 (* Incremental path: the live graph already realizes the mutated
    structure (resync applied the edge delta and weights eagerly);
@@ -1037,29 +1061,128 @@ let evaluate_incremental t inc =
   t.stats.incr_evals <- t.stats.incr_evals + 1;
   (kind_stats t.stats t.last_kind).k_incr_evals <-
     (kind_stats t.stats t.last_kind).k_incr_evals + 1;
-  eval_from_incr t inc
+  Feasible (incr_makespan t inc)
+
+(* Bring the cache up to date, building no eval record. *)
+let update_cache t =
+  match t.cached with
+  | Feasible _ | Known _ -> ()
+  | Stale ->
+    t.cached <-
+      (match t.incr with
+       | Some inc when inc.valid ->
+         if inc.desync || not (capacity_ok t) then Known None
+         else evaluate_incremental t inc
+       | Some _ | None ->
+         if capacity_ok t then evaluate_full t else Known None)
+
+(* The eval record of an up-to-date cache, built (once) from a
+   [Feasible] makespan.  The live state serves it when its finish
+   times are current; after an undo they are not — the inverse edits
+   wait, marked dirty, for the next move's refresh, which books them —
+   so the record comes from a one-shot rebuild that leaves the live
+   state and the counters alone (bit-identical, see [evaluate]). *)
+let evaluation t =
+  match t.cached with
+  | Known result -> result
+  | Stale -> assert false (* callers update the cache first *)
+  | Feasible makespan ->
+    let result =
+      match t.incr with
+      | Some ({ valid = true; desync = false; dirty = []; _ } as inc) ->
+        Some (eval_from_incr t inc ~makespan)
+      | Some _ | None -> Searchgraph.evaluate (spec t)
+    in
+    t.cached <- Known result;
+    result
 
 let evaluate t =
   Repro_util.Fault.tick_eval ();
-  match t.cached with
-  | Some result -> result
-  | None ->
-    let result =
-      match t.incr with
-      | Some inc when inc.valid ->
-        if inc.desync then None
-        else if not (capacity_ok t) then None
-        else evaluate_incremental t inc
-      | Some _ | None ->
-        if not (capacity_ok t) then None else evaluate_full t
-    in
-    t.cached <- Some result;
-    result
+  update_cache t;
+  evaluation t
 
 let makespan t =
-  match evaluate t with
-  | Some eval -> eval.Searchgraph.makespan
-  | None -> infinity
+  Repro_util.Fault.tick_eval ();
+  update_cache t;
+  match t.cached with
+  | Feasible m -> m
+  | Known (Some eval) -> eval.Searchgraph.makespan
+  | Known None -> infinity
+  | Stale -> assert false (* just updated *)
+
+(* Copies never share the incremental state: it tracks one solution's
+   mutations and would be corrupted by a sibling's.  A [Feasible]
+   result is turned into its record first, since the copy has no live
+   state to build it from.  The journal starts empty (no undo closure
+   refers to the copy) and [sw] is shared, being copy-on-write.  The
+   stats record stays shared so a solution and its snapshots count
+   together. *)
+let copy t =
+  (match t.cached with
+   | Feasible _ -> ignore (evaluation t : Searchgraph.eval option)
+   | Stale | Known _ -> ());
+  {
+    t with
+    assign = Array.copy t.assign;
+    impl = Array.copy t.impl;
+    incr = None;
+    journal = ibuf_create ();
+    journal_epoch = 0;
+  }
+
+let snapshot = copy
+
+let save t =
+  (* A copy carries its result but no live state: rebuild the state
+     once here, so the moves that follow (and their undos) stay
+     incremental instead of rebuilding on every evaluation. *)
+  (match (t.cached, t.incr) with
+   | (Stale | Known None), _ | _, Some { valid = true; desync = false; _ } -> ()
+   | (Feasible _ | Known (Some _)), (Some _ | None) ->
+     ignore (evaluate_full t : cache));
+  if t.journal.len > 2 * log_truncate_threshold then begin
+    t.journal.len <- 0;
+    t.journal_epoch <- t.journal_epoch + 1
+  end;
+  let journal_mark = t.journal.len and journal_epoch = t.journal_epoch in
+  let sw = t.sw in
+  let ctxs = t.ctxs in
+  let next_ctx = t.next_ctx in
+  let cached = t.cached in
+  let platform = t.platform in
+  let last_kind = t.last_kind in
+  let mark =
+    match t.incr with
+    | Some inc when inc.valid && not inc.desync ->
+      if inc.log_len > log_truncate_threshold then begin
+        inc.log_len <- 0;
+        inc.epoch <- inc.epoch + 1
+      end;
+      Some (inc, inc.epoch, inc.log_len)
+    | Some _ | None -> None
+  in
+  fun () ->
+    if t.journal_epoch <> journal_epoch || t.journal.len < journal_mark then
+      invalid_arg "Solution.save: undo out of order";
+    (* The incremental state rolls its delta log back to the save
+       point when it is still the same generation; a mismatch (a
+       rebuild happened in between, the log was truncated) degrades it
+       to storage-donor duty. *)
+    (match (t.incr, mark) with
+     | Some inc, Some (saved, epoch, len)
+       when inc == saved && inc.epoch = epoch && inc.log_len >= len
+            && inc.valid ->
+       rollback inc ~mark:len;
+       inc.desync <- false
+     | Some inc, _ -> inc.valid <- false
+     | None, _ -> ());
+    journal_rewind t ~mark:journal_mark;
+    t.sw <- sw;
+    t.ctxs <- ctxs;
+    t.next_ctx <- next_ctx;
+    t.cached <- cached;
+    t.platform <- platform;
+    t.last_kind <- last_kind
 
 (* --- mutations --- *)
 
@@ -1070,8 +1193,8 @@ let set_impl t v k =
   if k < 0 || k >= Task.impl_count (App.task t.app v) then
     invalid_arg "Solution.set_impl: implementation index out of range";
   if t.impl.(v) <> k then begin
-    t.impl.(v) <- k;
-    t.cached <- None;
+    write_impl t v k;
+    t.cached <- Stale;
     t.last_kind <- Impl;
     match t.incr with
     | Some inc when inc.valid && not inc.desync ->
@@ -1103,7 +1226,7 @@ let remove_from_context t v =
           | [] -> None
           | remaining -> Some (cid, remaining))
       t.ctxs;
-  t.assign.(v) <- -1
+  write_assign t v (-1)
 
 let insert_before x before list =
   let rec walk = function
@@ -1116,7 +1239,7 @@ let detach t task =
   if t.assign.(task) >= 0 then remove_from_context t task
   else begin
     let p = processor_index t task in
-    t.sw.(p) <- List.filter (fun w -> w <> task) t.sw.(p)
+    set_sw t p (List.filter (fun w -> w <> task) t.sw.(p))
   end
 
 (* The tasks around the software positions a move disturbs: the moved
@@ -1132,7 +1255,7 @@ let move_to_sw ?(proc = 0) t ~task ~before =
     invalid_arg "Solution.move_to_sw: no such processor";
   if t.assign.(task) < 0 && processor_index t task = proc then
     invalid_arg "Solution.move_to_sw: task already on that processor";
-  let old_sw = Array.copy t.sw in
+  let old_sw = t.sw in
   let old_ctxs = t.ctxs in
   let sw_around =
     sw_departure_around t task
@@ -1143,13 +1266,13 @@ let move_to_sw ?(proc = 0) t ~task ~before =
       (match List.rev t.sw.(proc) with last :: _ -> [ last ] | [] -> [])
   in
   detach t task;
-  t.assign.(task) <- -(proc + 1);
+  write_assign t task (-(proc + 1));
   (match before with
-   | None -> t.sw.(proc) <- t.sw.(proc) @ [ task ]
+   | None -> set_sw t proc (t.sw.(proc) @ [ task ])
    | Some anchor ->
      if not (List.memq anchor t.sw.(proc)) then
        invalid_arg "Solution.move_to_sw: anchor not in that processor's order";
-     t.sw.(proc) <- insert_before task anchor t.sw.(proc));
+     set_sw t proc (insert_before task anchor t.sw.(proc)));
   native_resync t Sw_migrate ~rebound:[ task ] ~sw_around ~old_sw ~old_ctxs
 
 let move_to_context t ~task ~dest =
@@ -1158,7 +1281,7 @@ let move_to_context t ~task ~dest =
     invalid_arg "Solution.move_to_context: destination not in hardware";
   if t.assign.(task) = dest_id then
     invalid_arg "Solution.move_to_context: already in that context";
-  let old_sw = Array.copy t.sw in
+  let old_sw = t.sw in
   let old_ctxs = t.ctxs in
   let sw_around = sw_departure_around t task in
   (* Detach the source task first. *)
@@ -1172,7 +1295,7 @@ let move_to_context t ~task ~dest =
         if cid = dest_id then begin
           if fits members then begin
             placed := true;
-            t.assign.(task) <- cid;
+            write_assign t task cid;
             [ (cid, task :: members) ]
           end
           else begin
@@ -1180,7 +1303,7 @@ let move_to_context t ~task ~dest =
             let fresh = t.next_ctx in
             t.next_ctx <- t.next_ctx + 1;
             placed := true;
-            t.assign.(task) <- fresh;
+            write_assign t task fresh;
             [ (cid, members); (fresh, [ task ]) ]
           end
         end
@@ -1192,13 +1315,13 @@ let move_to_context t ~task ~dest =
 let insert_context t ~task ~at =
   let k = List.length t.ctxs in
   if at < 0 || at > k then invalid_arg "Solution.insert_context: bad position";
-  let old_sw = Array.copy t.sw in
+  let old_sw = t.sw in
   let old_ctxs = t.ctxs in
   let sw_around = sw_departure_around t task in
   detach t task;
   let fresh = t.next_ctx in
   t.next_ctx <- t.next_ctx + 1;
-  t.assign.(task) <- fresh;
+  write_assign t task fresh;
   (* The source context may have disappeared; recompute the bound. *)
   let at = min at (List.length t.ctxs) in
   let rec insert j = function
@@ -1231,13 +1354,13 @@ let reorder_sw t ~task ~before =
   if processor_index t before <> p then
     invalid_arg "Solution.reorder_sw: tasks on different processors";
   if task <> before then begin
-    let old_sw = Array.copy t.sw in
+    let old_sw = t.sw in
     let old_ctxs = t.ctxs in
     let sw_around =
       task :: before :: chain_neighbors t.sw.(p) [ task; before ]
     in
-    t.sw.(p) <-
-      insert_before task before (List.filter (fun w -> w <> task) t.sw.(p));
+    set_sw t p
+      (insert_before task before (List.filter (fun w -> w <> task) t.sw.(p)));
     native_resync t Sw_reorder ~rebound:[] ~sw_around ~old_sw ~old_ctxs
   end
 
@@ -1272,7 +1395,7 @@ let random rng application platform =
       (Graph.succs g v)
   done;
   let random_topological_order = List.rev !order in
-  t.sw.(0) <- random_topological_order;
+  set_sw t 0 random_topological_order;
   (* Move a random number of tasks, one by one, to the circuit; pack in
      topological order, opening a new context when the last one is
      full (the paper's initial-solution procedure). *)
@@ -1292,7 +1415,7 @@ let random rng application platform =
   in
   Array.iter
     (fun v ->
-      t.impl.(v) <- pick_impl v;
+      write_impl t v (pick_impl v);
       if task_clbs t v <= limit then in_hw.(v) <- true)
     chosen;
   (* Pack along the same topological order that the software schedule
@@ -1306,8 +1429,8 @@ let random rng application platform =
         match List.rev t.ctxs with
         | (last_id, members) :: _
           when members_clbs t members + task_clbs t v <= limit ->
-          t.sw.(0) <- List.filter (fun w -> w <> v) t.sw.(0);
-          t.assign.(v) <- last_id;
+          set_sw t 0 (List.filter (fun w -> w <> v) t.sw.(0));
+          write_assign t v last_id;
           t.ctxs <-
             List.map
               (fun (cid, ms) -> if cid = last_id then (cid, v :: ms) else (cid, ms))
@@ -1371,20 +1494,9 @@ let rec of_mapping ?scratch application platform ~sw_orders ~contexts ~impl =
           Error "of_mapping: some task is neither scheduled nor in a context"
         else begin
           let t =
-            {
-              app = application;
-              clo = closure_of_app application;
-              platform;
-              assign;
-              impl = Array.of_list impl;
-              sw = Array.of_list sw_orders;
-              ctxs = List.mapi (fun j members -> (j, members)) contexts;
-              next_ctx = List.length contexts;
-              cached = None;
-              incr = None;
-              last_kind = Init;
-              stats = fresh_stats ();
-            }
+            make application platform ~assign ~impl:(Array.of_list impl)
+              ~sw:(Array.of_list sw_orders)
+              ~ctxs:(List.mapi (fun j members -> (j, members)) contexts)
           in
           match check_invariants t with
           | Ok () ->
@@ -1548,20 +1660,9 @@ let decode ?scratch application platform text =
         then Error "solution codec: index out of range"
         else begin
           let t =
-            {
-              app = application;
-              clo = closure_of_app application;
-              platform;
-              assign = Array.of_list assign;
-              impl = Array.of_list impl;
-              sw = Array.of_list sw_orders;
-              ctxs = List.mapi (fun j members -> (j, members)) ctx_members;
-              next_ctx = k;
-              cached = None;
-              incr = None;
-              last_kind = Init;
-              stats = fresh_stats ();
-            }
+            make application platform ~assign:(Array.of_list assign)
+              ~impl:(Array.of_list impl) ~sw:(Array.of_list sw_orders)
+              ~ctxs:(List.mapi (fun j members -> (j, members)) ctx_members)
           in
           match check_invariants t with
           | Ok () ->

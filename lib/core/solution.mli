@@ -23,8 +23,9 @@ type t
 val app : t -> App.t
 val platform : t -> Platform.t
 val closure : t -> Closure.t
-(** Transitive closure of the application graph (static precedences),
-    shared by all solutions of the same problem. *)
+(** Transitive closure of the application graph (static precedences):
+    the application's own [App.t.closure], shared by all its
+    solutions. *)
 
 (** {1 Construction} *)
 
@@ -39,6 +40,10 @@ val random : Repro_util.Rng.t -> App.t -> Platform.t -> t
     a random precedence-consistent order. *)
 
 val copy : t -> t
+(** An independent solution with the same decisions and result.  The
+    copy keeps no incremental evaluation state (its first {!save}
+    rebuilds one); a result known only as a makespan is turned into
+    its {!evaluate} record first.  Evaluation counters stay shared. *)
 
 val of_mapping :
   ?scratch:t ->
@@ -130,7 +135,9 @@ val evaluate : t -> Searchgraph.eval option
     sum whose value is a pure function of the current boundary terms
     ({!Repro_sched.Searchgraph.Comm}).  Under [REPRO_CHECK_DELTAS]
     (see {!set_check_deltas}) every move's emitted delta is
-    additionally asserted against a regenerate-and-diff reference. *)
+    additionally asserted against a regenerate-and-diff reference.
+    The record (with its finish array) is built only here and by
+    {!copy}: {!makespan} reads the live state without it. *)
 
 (** {1 Evaluation statistics} *)
 
@@ -194,7 +201,11 @@ val set_check_deltas : bool -> unit
 val check_deltas_enabled : unit -> bool
 
 val makespan : t -> float
-(** Makespan of a feasible solution; [infinity] when infeasible. *)
+(** Makespan of a feasible solution; [infinity] when infeasible.
+    Bitwise equal to [(evaluate t).makespan], but served off the live
+    longest-path state as the maximum finish time over the task nodes
+    and live configuration slots, without building the eval record:
+    besides the refresh, a call allocates nothing. *)
 
 val check_invariants : t -> (unit, string) result
 (** Structural invariants: bindings, context membership and capacity,
@@ -207,12 +218,22 @@ val snapshot : t -> t
 (** Alias of {!copy} for the annealer's best-keeping. *)
 
 val save : t -> (unit -> unit)
-(** Capture the full mutable state; the returned closure restores it
-    (move undo).  The live search graph is restored by replaying the
-    delta log backwards to the save point, so rejecting a structural
-    move costs a few inverse edge edits rather than a rebuild.  Undo
-    closures are one-shot and LIFO; out-of-order use degrades safely
-    to a full rebuild at the next evaluation. *)
+(** Mark a save point; the returned closure (move undo) restores the
+    solution to it.  Saving costs O(1) whatever the solution's size:
+    it records a mark in the journal of [assign]/[impl] writes, the
+    delta-log mark of the live search graph, and pointers to the
+    immutable (or copy-on-write) processor orders, contexts, platform
+    and cached result.  Undo rewinds the journal and replays the delta
+    log backwards to the mark, so rejecting a move costs what the move
+    touched.  On a solution whose result is feasible but whose live
+    state is gone (a {!copy}, or after a fallback), [save] first
+    rebuilds that state once, so the moves that follow stay
+    incremental.
+
+    Undo closures are one-shot and LIFO: undo the newest save first.
+    [save] resets the journal and the log once they pass 8192
+    entries, so an older undo whose entries are gone raises
+    [Invalid_argument] instead of restoring part of the state. *)
 
 val invalidate : t -> unit
 (** Force the next evaluation to rebuild from scratch (the retired

@@ -4,6 +4,7 @@ type t = {
   name : string;
   tasks : Task.t array;
   graph : Graph.t;
+  closure : Closure.t;
   edge_data : (int * int, float) Hashtbl.t;
   deadline : float option;
 }
@@ -35,7 +36,7 @@ let make ~name ?deadline ~tasks ~edges () =
     edges;
   if not (Graph.is_dag graph) then
     invalid_arg "App.make: precedence graph has a cycle";
-  { name; tasks; graph; edge_data; deadline }
+  { name; tasks; graph; closure = Closure.of_graph graph; edge_data; deadline }
 
 let size t = Array.length t.tasks
 

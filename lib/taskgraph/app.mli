@@ -12,6 +12,9 @@ type t = private {
   name : string;
   tasks : Task.t array;
   graph : Graph.t;                   (** precedence structure *)
+  closure : Closure.t;
+  (** transitive closure of [graph], computed once here and shared by
+      every solution of the application; treat it as read-only *)
   edge_data : (int * int, float) Hashtbl.t;  (** (src,dst) -> kbytes *)
   deadline : float option;           (** performance constraint, ms *)
 }

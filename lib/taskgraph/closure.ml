@@ -1,10 +1,9 @@
-open Repro_taskgraph
 module Bitset = Repro_util.Bitset
 
 (* Only the descendant rows are kept: ancestor queries are rare (edge
-   registration, which only tests use), and every solution keeps its
-   application's closure alive, so a second n x n matrix would double
-   the resident footprint for nothing. *)
+   registration, which only tests use), and every application keeps
+   its closure alive, so a second n x n matrix would double the
+   resident footprint for nothing. *)
 type t = {
   size : int;
   reach : Bitset.t array;    (* reach.(u) = strict descendants of u *)

@@ -4,9 +4,12 @@
     O(1) operations on the associated transitive closure matrix".  This
     module provides that matrix: a Boolean reachability matrix kept
     up to date under edge insertion (Italiano-style propagation).
-    Deletions invalidate the matrix; rebuild with {!of_graph}. *)
+    Deletions invalidate the matrix; rebuild with {!of_graph}.
 
-open Repro_taskgraph
+    {!App.make} computes each application's closure once; every
+    solution of the application reads that one matrix, so it must not
+    be passed to {!add_edge}. *)
+
 
 type t
 

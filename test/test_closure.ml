@@ -1,5 +1,5 @@
 module Graph = Repro_taskgraph.Graph
-module Closure = Repro_sched.Closure
+module Closure = Repro_taskgraph.Closure
 module Bitset = Repro_util.Bitset
 
 let diamond () =

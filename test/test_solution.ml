@@ -327,11 +327,16 @@ let test_structural_moves_incremental () =
   Alcotest.(check int) "undo avoided rebuilds" full_before
     stats.Solution.full_evals
 
+let bits = Int64.bits_of_float
+
 let qcheck_incremental_exact =
   (* Random move sequences with interleaved undo: the incrementally
      maintained evaluation must stay bitwise equal to a from-scratch
      evaluation, and an encode/decode round trip mid-sequence must
-     replay bit-identically. *)
+     replay bit-identically.  [makespan], read first (so it comes off
+     the live state, before any eval record exists), must equal the
+     record's makespan bitwise after every step — after an undo, and
+     on snapshots, which the sequence sometimes continues from. *)
   QCheck.Test.make ~name:"incremental evaluation bit-identical to scratch"
     ~count:60
     QCheck.(pair small_int (int_range 10 60))
@@ -339,14 +344,34 @@ let qcheck_incremental_exact =
       let application = app () in
       let plat = platform ~n_clb:200 () in
       let rng = Rng.create (seed + 3) in
-      let s = Solution.random rng application plat in
+      let s = ref (Solution.random rng application plat) in
       let ok = ref true in
+      let makespan_matches_record s =
+        let m = Solution.makespan s in
+        match Solution.evaluate s with
+        | Some e -> bits m = bits e.Searchgraph.makespan
+        | None -> m = infinity
+      in
+      let propose s =
+        Repro_dse.Moves.propose rng Repro_dse.Moves.fixed_architecture s
+      in
       for _ = 1 to steps do
-        (match
-           Repro_dse.Moves.propose rng Repro_dse.Moves.fixed_architecture s
-         with
+        (* A move kept unread, as in an annealing chain: the next save
+           then captures a result known only as a makespan. *)
+        if Rng.bernoulli rng 0.3 then
+          ignore (propose !s : (unit -> unit) option);
+        (match propose !s with
         | Some undo -> if Rng.bernoulli rng 0.4 then undo ()
         | None -> ());
+        if Rng.bernoulli rng 0.15 then begin
+          let m = Solution.makespan !s in
+          let snap = Solution.snapshot !s in
+          if bits m <> bits (Solution.makespan snap) then ok := false;
+          if not (makespan_matches_record snap) then ok := false;
+          s := snap
+        end;
+        let s = !s in
+        if not (makespan_matches_record s) then ok := false;
         (match (Solution.evaluate s, Searchgraph.evaluate (Solution.spec s)) with
         | None, None -> ()
         | Some got, Some want ->
@@ -568,6 +593,136 @@ let test_pinned_move_counts () =
        (Repro_workloads.Motion_detection.platform ~n_clb:1200 ())
        ~iterations:2000 ~seed:12)
 
+(* A saved proposal costs the same whatever the solution's size: the
+   solution arrays are journaled, not copied, so 1,000
+   save/mutate/undo cycles allocate as much on a 512-task solution as
+   on a 50-task one.  [Gc.allocated_bytes] counts the major heap too,
+   where arrays over 256 words go. *)
+let test_save_allocation_flat () =
+  let cycles_bytes ~gen_seed ~layers ~width =
+    let application =
+      Generators.layered ~name:"flat" (Rng.create gen_seed)
+        Generators.default_impl_model ~layers ~width ~edge_probability:0.05
+        ~mean_sw_time:2.0 ~mean_kbytes:8.0
+    in
+    let s =
+      Solution.all_software application
+        (Repro_workloads.Motion_detection.platform ~n_clb:2000 ())
+    in
+    let v =
+      match
+        List.find_opt
+          (fun v -> Task.impl_count (App.task application v) >= 2)
+          (List.init (App.size application) Fun.id)
+      with
+      | Some v -> v
+      | None -> Alcotest.fail "no task with two implementations"
+    in
+    Solution.append_context s ~task:v;
+    Alcotest.(check bool) "feasible" true (Solution.evaluate s <> None);
+    let other = 1 - Solution.impl_index s v in
+    let cycle () =
+      let undo = Solution.save s in
+      Solution.set_impl s v other;
+      undo ()
+    in
+    cycle ();
+    (* The runtime updates its major-heap counters lazily: read them
+       between full collections, where they are settled. *)
+    let allocated () =
+      Gc.full_major ();
+      Gc.allocated_bytes ()
+    in
+    let before = allocated () in
+    for _ = 1 to 1000 do
+      cycle ()
+    done;
+    let bytes = allocated () -. before in
+    (App.size application, bytes)
+  in
+  let small_n, small = cycles_bytes ~gen_seed:15 ~layers:5 ~width:20 in
+  let large_n, large = cycles_bytes ~gen_seed:237 ~layers:10 ~width:100 in
+  Alcotest.(check (pair int int)) "sizes" (50, 512) (small_n, large_n);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes at %d tasks vs %.0f at %d (within 10%%)"
+       large large_n small small_n)
+    true
+    (Float.abs (large -. small) <= 0.1 *. small)
+
+(* A snapshot keeps its result but not the live evaluation state; its
+   first [save] rebuilds that state once, so a propose/undo loop over a
+   snapshot of an annealed state stays incremental instead of
+   rebuilding on every performed move. *)
+let test_snapshot_stays_incremental () =
+  let application = Repro_workloads.Motion_detection.app () in
+  let plat = Repro_workloads.Motion_detection.platform ~n_clb:2000 () in
+  let config =
+    {
+      (Repro_dse.Explorer.default_config ~seed:5 ()) with
+      Repro_dse.Explorer.anneal =
+        {
+          Repro_anneal.Annealer.default_config with
+          iterations = 2000;
+          warmup_iterations = 200;
+          seed = 5;
+        };
+    }
+  in
+  let annealed =
+    (Repro_dse.Explorer.explore config application plat).Repro_dse.Explorer.best
+  in
+  let s = Solution.snapshot annealed in
+  let before = Solution.encode s in
+  let stats = Solution.eval_stats s in
+  let full0 = stats.Solution.full_evals and incr0 = stats.Solution.incr_evals in
+  let rng = Rng.create 21 in
+  let performed = ref 0 in
+  for _ = 1 to 2000 do
+    match Repro_dse.Moves.propose rng Repro_dse.Moves.fixed_architecture s with
+    | Some undo ->
+      incr performed;
+      undo ()
+    | None -> ()
+  done;
+  Alcotest.(check string) "undo restored the state" before (Solution.encode s);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d full rebuilds over %d performed moves"
+       (stats.Solution.full_evals - full0) !performed)
+    true
+    (stats.Solution.full_evals - full0 <= 1);
+  Alcotest.(check bool) "performed moves were served incrementally" true
+    (!performed > 0 && stats.Solution.incr_evals - incr0 >= !performed)
+
+(* Large-instance bit-identity: a fixed-seed chain on a 512-task
+   layered graph files this exact solution and cost. *)
+let test_g512_chain_pinned () =
+  let application =
+    Generators.layered ~name:"g512" (Rng.create 237)
+      Generators.default_impl_model ~layers:10 ~width:100
+      ~edge_probability:0.05 ~mean_sw_time:2.0 ~mean_kbytes:8.0
+  in
+  Alcotest.(check int) "graph size" 512 (App.size application);
+  let config =
+    {
+      (Repro_dse.Explorer.default_config ~seed:3 ()) with
+      Repro_dse.Explorer.anneal =
+        {
+          Repro_anneal.Annealer.default_config with
+          iterations = 3000;
+          warmup_iterations = 200;
+          seed = 3;
+        };
+    }
+  in
+  let r =
+    Repro_dse.Explorer.explore config application
+      (Repro_workloads.Motion_detection.platform ~n_clb:1200 ())
+  in
+  Alcotest.(check string) "solution CRC" "1a88eed0"
+    (Repro_util.Checkpoint.crc32_hex (Solution.encode r.Repro_dse.Explorer.best));
+  Alcotest.(check string) "best cost" "0x1.2d4ed32b311c1p+10"
+    (Printf.sprintf "%h" r.Repro_dse.Explorer.best_cost)
+
 let test_replace_platform () =
   let s = Solution.all_software (app ()) (platform ~n_clb:100 ()) in
   Solution.append_context s ~task:3;
@@ -612,4 +767,9 @@ let suite =
     Alcotest.test_case "pinned move-path counts" `Quick
       test_pinned_move_counts;
     Alcotest.test_case "replace platform" `Quick test_replace_platform;
+    Alcotest.test_case "save allocation independent of size" `Quick
+      test_save_allocation_flat;
+    Alcotest.test_case "propose/undo on a snapshot stays incremental" `Quick
+      test_snapshot_stays_incremental;
+    Alcotest.test_case "pinned 512-task chain" `Quick test_g512_chain_pinned;
   ]
